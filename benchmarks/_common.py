@@ -11,16 +11,14 @@ hot-path speedup gate).
 
 Sweep-shaped benches execute their (config x workload x seed) grids
 through :func:`sweep_runner`, which honours the ``--jobs`` pytest option
-/ ``REPRO_JOBS`` environment knob for parallelism and keeps an
-incremental result cache under ``benchmarks/results/.cache/``.  The
-executor backend is equally env-driven: ``--backend``/``REPRO_BACKEND``
-picks serial, process, or tcp, and ``--workers``/``REPRO_WORKERS``
-supplies the TCP fleet's addresses — results are bit-identical on every
-backend, so benches never need to care which one ran them.
-Failure semantics are configurable the same way: ``--fail-policy`` /
-``REPRO_FAIL_POLICY`` picks strict (raise an aggregated ``SweepError``)
-or degrade (partial results + failure manifest), and ``--cell-timeout``
-/ ``REPRO_CELL_TIMEOUT`` bounds each cell attempt's wall clock.
+/ ``REPRO_JOBS`` environment knob for parallelism (in-process when
+serial, a local process pool otherwise — results are bit-identical
+either way) and keeps an incremental result cache under
+``benchmarks/results/.cache/``.  Failure semantics are configurable the
+same way: ``--fail-policy`` / ``REPRO_FAIL_POLICY`` picks strict (raise
+an aggregated ``SweepError``) or degrade (partial results + failure
+manifest), and ``--cell-timeout`` / ``REPRO_CELL_TIMEOUT`` bounds each
+cell attempt's wall clock.
 """
 
 from __future__ import annotations

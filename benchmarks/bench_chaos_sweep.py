@@ -10,35 +10,6 @@ Runs the real epoch-model grid (the same cells behind fig3/table4) twice:
    a *permanent* cell exception (every attempt), with the ``degrade``
    failure policy.
 
-``--fleet`` runs the *fleet* chaos tier instead: a
-:class:`WorkerSupervisor` pool of two real ``python -m repro worker
-serve`` subprocesses on loopback TCP, with a crash fault hard-exiting
-one worker mid-sweep (the runner must detect the lost worker,
-re-dispatch its cell on the survivor, and finish) and a permanent cell
-error exercising the failure manifest.  Gated on the survivor results
-being bit-identical to the clean serial run, on the supervisor having
-reaped the injected exit code and *restarted* the dead slot on its
-original address, and (with the runner's heartbeat enabled) the
-replacement being eligible for mid-sweep re-admission.
-
-``--multi-runner`` runs the *cooperative* chaos tier: two real runner
-processes drain ONE sweep through one shared journal (``lease_ttl``),
-and the parent SIGKILLs one of them the moment it holds a lease with no
-matching ``done`` record.  Gated on the survivor exiting cleanly with a
-result set bit-identical to the clean serial run (digest compared
-cross-process) and on it having *reclaimed* the victim's expired
-leases.
-
-``--prefix`` runs the *prefix* chaos tier: a warm-start grid (every
-cell forks a shared machine-warmup :class:`Prefix`) on the same
-two-subprocess fleet, with a crash fault that fires **during the prefix
-stage** — the worker dies mid-warmup, before any cell code runs.  The
-runner must charge the attempt, re-dispatch on the survivor, and finish
-with results bit-identical to cold serial execution
-(``REPRO_SNAPSHOT=0``).  A second grid whose prefix returns an
-unsnapshotable context proves the cold-fallback path: the sweep
-completes with zero snapshot stores and no errors.
-
 Asserted on every run:
 
 - the chaos sweep completes (no exception escapes);
@@ -60,13 +31,7 @@ Run standalone::
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import subprocess
 import sys
-import tempfile
-import threading
-import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -79,18 +44,10 @@ from repro.runner import (
     Fault,
     FaultPlan,
     Job,
-    Prefix,
     RetryPolicy,
-    SNAPSHOT_ENV,
     SweepRunner,
-    WorkerSupervisor,
     derive_seed,
-    spawn_worker_process,
 )
-from repro.runner.backends.base import _reset_prefix_memo
-from repro.runner.backends.wire import encode_value
-from repro.runner.faults import CRASH_EXIT_CODE
-from repro.runner.seeding import stable_digest
 from repro.sim.epoch import run_epoch_cell
 from repro.workloads import SPEC2006_INT
 
@@ -117,442 +74,6 @@ def sweep_jobs(horizon_s: float) -> list[Job]:
     ]
 
 
-def run_fleet(horizon: float) -> int:
-    """The fleet chaos tier: kill a real supervised TCP worker mid-sweep.
-
-    A :class:`WorkerSupervisor` pool of two ``python -m repro worker
-    serve`` subprocesses on loopback; a crash fault hard-exits whichever
-    one draws the target cell.  The sweep must finish on the survivor
-    with results bit-identical to the clean serial run; the supervisor
-    must reap the injected exit code and restart the dead slot on its
-    original address (the runner's heartbeat makes the replacement
-    re-admittable mid-sweep).  Environments that cannot spawn
-    subprocesses or bind loopback sockets skip gracefully (the
-    in-process conformance suite still covers the protocol there).
-    """
-    cells = sweep_jobs(horizon)
-    clean = SweepRunner(jobs=1, root_seed=ROOT_SEED, cache=None).run(cells)
-    clean_by_key = {r.key: r for r in clean}
-
-    supervisor = WorkerSupervisor(workers=2, max_restarts=3,
-                                  backoff_base_s=0.05, seed=ROOT_SEED)
-    try:
-        addresses = supervisor.start()
-    except (OSError, ValueError) as exc:
-        supervisor.stop()
-        print(f"fleet workers unavailable ({exc}); skipping fleet tier")
-        return 0
-    stop = threading.Event()
-    sup_thread = threading.Thread(target=supervisor.run, args=(stop, 0.05),
-                                  daemon=True)
-    sup_thread.start()
-
-    plan = FaultPlan.of(
-        Fault("crash", CRASH_CELL, attempts=(1,)),
-        Fault("error", ERROR_CELL, attempts=None),
-    )
-    runner = SweepRunner(
-        root_seed=ROOT_SEED, cache=None, policy="degrade",
-        backend="tcp", workers=addresses, heartbeat_s=0.25,
-        retry=RetryPolicy(max_attempts=3, backoff_base_s=0.05),
-        fault_plan=plan,
-    )
-    try:
-        results = runner.run(cells)
-        stats = runner.last_stats
-
-        assert len(results) == len(cells), "fleet sweep must complete every cell"
-        failed = [r.key for r in results if not r.ok]
-        assert failed == [cells[ERROR_CELL].key], (
-            f"failure manifest {failed} != injected [{cells[ERROR_CELL].key}]"
-        )
-        survivors = [r for r in results if r.ok]
-        assert all(r == clean_by_key[r.key] for r in survivors), (
-            "survivor results must be bit-identical to the clean serial run"
-        )
-        assert stats["backend"] == "tcp", stats
-        assert stats["workers_lost"] >= 1, (
-            "the crash fault must cost the fleet a worker"
-        )
-        assert stats["retries"] >= 1, "the crashed cell must be retried"
-
-        # The injected crash hard-exits the worker *process*: the
-        # supervisor must reap the injected exit code and restart the
-        # slot — pinned to the same host:port it originally bound.
-        deadline = time.monotonic() + 15.0
-        while time.monotonic() < deadline:
-            if supervisor.restarts_total >= 1:
-                break
-            time.sleep(0.05)
-        assert supervisor.restarts_total >= 1, (
-            f"supervisor never restarted the crashed worker: "
-            f"{supervisor.events}"
-        )
-        crashed = [s for s in supervisor.slots()
-                   if s.last_exit == CRASH_EXIT_CODE]
-        assert crashed, (
-            f"no supervised worker died with exit code {CRASH_EXIT_CODE}: "
-            f"{[s.last_exit for s in supervisor.slots()]}"
-        )
-        assert sorted(supervisor.addresses()) == sorted(addresses), (
-            "restart must re-bind the slot's original address"
-        )
-        readmitted = stats.get("workers_readmitted", 0)
-    finally:
-        stop.set()
-        sup_thread.join(timeout=10.0)
-        supervisor.stop()
-
-    lines = [
-        f"fleet chaos: {len(cells)} epoch cells, horizon {horizon:.0f}s, "
-        f"2 supervised loopback TCP workers (heartbeat 0.25s)",
-        f"faults: crash@{cells[CRASH_CELL].key} (worker hard-exit, attempt 1), "
-        f"error@{cells[ERROR_CELL].key} (permanent)",
-        f"recovery: workers_lost={stats['workers_lost']} "
-        f"retries={stats['retries']} fleet_size={stats['fleet_size']} "
-        f"workers_readmitted={readmitted}",
-        f"supervision: restarts={supervisor.restarts_total} "
-        f"(crashed worker reaped with exit {CRASH_EXIT_CODE}, replacement "
-        "re-bound the same address)",
-        f"failure manifest: {stats['failed']} (expected exactly the "
-        "permanent fault)",
-        f"survivors: {len(survivors)}/{len(cells)} bit-identical to clean "
-        "serial run",
-    ]
-    text = "\n".join(lines) + "\n"
-    print(text)
-    publish("chaos_fleet", text, data={
-        "cells": len(cells),
-        "horizon_s": horizon,
-        "fleet_size": stats["fleet_size"],
-        "workers_lost": stats["workers_lost"],
-        "workers_readmitted": readmitted,
-        "retries": stats["retries"],
-        "restarts": supervisor.restarts_total,
-        "failed": stats["failed"],
-        "survivors_equal": True,
-        "crash_exit_code": CRASH_EXIT_CODE,
-    })
-    return 0
-
-
-# -- cooperative multi-runner tier ----------------------------------------------
-
-
-def result_digest(results) -> str:
-    """Cross-process digest of a result set: (key, seed, value pickle)
-    triples in key order — bit-identical sweeps, identical digests."""
-    return stable_digest("coop-sweep", tuple(
-        (r.key, r.seed, encode_value(r.value))
-        for r in sorted(results, key=lambda r: r.key)
-    ))
-
-
-def run_coop_child(args) -> int:
-    """Hidden mode: one cooperating runner process of the multi-runner
-    tier.  Prints a ``coop-result`` JSON line with the result digest and
-    lease stats, so the parent can gate on bit-identity cross-process."""
-    cells = sweep_jobs(args.horizon)
-    runner = SweepRunner(
-        jobs=1, root_seed=ROOT_SEED, cache=None, policy="degrade",
-        checkpoint=args.journal, lease_ttl=args.ttl, runner_id=args.tag,
-        retry=RetryPolicy(max_attempts=3, backoff_base_s=0.05),
-    )
-    results = runner.run(cells)
-    stats = runner.last_stats
-    print(json.dumps({
-        "op": "coop-result", "tag": args.tag,
-        "digest": result_digest(results), "cells": len(results),
-        "failures": stats["failures"],
-        "leases_claimed": stats["leases_claimed"],
-        "leases_reclaimed": stats["leases_reclaimed"],
-        "adopted": stats["adopted"],
-    }, sort_keys=True), flush=True)
-    return 0
-
-
-def _unfinished_claims(journal_path: str, tag: str) -> set[str]:
-    """Keys ``tag`` has claimed in the journal with no ``done`` record
-    yet (reading only complete lines — the file may be mid-append)."""
-    try:
-        data = Path(journal_path).read_bytes()
-    except OSError:
-        return set()
-    claimed: set[str] = set()
-    done: set[str] = set()
-    for raw in data.split(b"\n")[:-1]:  # the tail may be torn; skip it
-        try:
-            record = json.loads(raw)
-        except ValueError:
-            continue
-        if not isinstance(record, dict):
-            continue
-        kind = record.get("kind", "done")
-        if kind == "lease" and record.get("op") == "claim" \
-                and record.get("runner") == tag:
-            claimed.add(record.get("key"))
-        elif kind == "done" and isinstance(record.get("key"), str):
-            done.add(record["key"])
-    return claimed - done
-
-
-def run_multi_runner(smoke: bool, horizon_arg: float) -> int:
-    """The cooperative chaos tier: SIGKILL one of two real runner
-    processes sharing a sweep; the survivor must drain it bit-identically.
-
-    The parent tails the shared journal until the victim holds a lease
-    with no matching ``done`` record — proof it is mid-cell — and kills
-    it exactly then, so the survivor must exercise lease expiry and
-    reclaim, not just adoption.
-    """
-    horizon = 3.0 if smoke else horizon_arg
-    ttl = 1.5
-    cells = sweep_jobs(horizon)
-    clean = SweepRunner(jobs=1, root_seed=ROOT_SEED, cache=None).run(cells)
-    reference_digest = result_digest(clean)
-
-    with tempfile.TemporaryDirectory(prefix="chaos-coop-") as tmp:
-        journal = os.path.join(tmp, "coop.journal")
-
-        def spawn(tag: str) -> subprocess.Popen:
-            return subprocess.Popen(
-                [sys.executable, str(Path(__file__).resolve()),
-                 "--coop-child", "--journal", journal, "--ttl", str(ttl),
-                 "--tag", tag, "--horizon", str(horizon)],
-                stdout=subprocess.PIPE, text=True,
-            )
-
-        try:
-            victim = spawn("victim")
-            survivor = spawn("survivor")
-        except OSError as exc:
-            print(f"runner subprocesses unavailable ({exc}); "
-                  "skipping multi-runner tier")
-            return 0
-
-        pending_after_kill: set[str] = set()
-        try:
-            deadline = time.monotonic() + 120.0
-            killed = False
-            while time.monotonic() < deadline:
-                if _unfinished_claims(journal, "victim"):
-                    victim.kill()
-                    killed = True
-                    break
-                if victim.poll() is not None:
-                    break
-                time.sleep(0.02)
-            assert killed, (
-                "victim runner finished before it could be killed mid-cell "
-                "— the chaos gate did not fire"
-            )
-            victim.wait(timeout=30.0)
-            # Re-read after the kill: these are the cells the survivor
-            # can only finish by reclaiming the victim's expired leases.
-            pending_after_kill = _unfinished_claims(journal, "victim")
-
-            out, _err = survivor.communicate(timeout=300.0)
-            assert survivor.returncode == 0, (
-                f"survivor runner exited {survivor.returncode}"
-            )
-        finally:
-            for proc in (victim, survivor):
-                if proc.poll() is None:
-                    proc.kill()
-                    proc.wait(timeout=10.0)
-                if proc.stdout is not None:
-                    proc.stdout.close()
-
-        report = None
-        for line in out.splitlines():
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue
-            if isinstance(record, dict) and record.get("op") == "coop-result":
-                report = record
-        assert report is not None, f"no coop-result line from survivor: {out!r}"
-        assert report["cells"] == len(cells), report
-        assert report["failures"] == 0, report
-        assert report["digest"] == reference_digest, (
-            "survivor result set must be bit-identical to the clean serial run"
-        )
-        if pending_after_kill:
-            assert report["leases_reclaimed"] >= 1, (
-                f"victim died holding {sorted(pending_after_kill)} but the "
-                f"survivor never reclaimed a lease: {report}"
-            )
-
-    lines = [
-        f"multi-runner chaos: {len(cells)} epoch cells, horizon "
-        f"{horizon:.0f}s, 2 cooperating runner processes, lease TTL {ttl}s",
-        "fault: SIGKILL the victim runner while it holds a lease with no "
-        "done record",
-        f"victim's unfinished cells at death: {sorted(pending_after_kill)}",
-        f"survivor: exit 0, {report['cells']}/{len(cells)} cells, "
-        f"digest == clean serial, leases_claimed={report['leases_claimed']} "
-        f"leases_reclaimed={report['leases_reclaimed']} "
-        f"adopted={report['adopted']}",
-    ]
-    text = "\n".join(lines) + "\n"
-    print(text)
-    publish("chaos_multi_runner", text, data={
-        "cells": len(cells),
-        "horizon_s": horizon,
-        "lease_ttl_s": ttl,
-        "pending_at_kill": sorted(pending_after_kill),
-        "survivor_digest_equal": True,
-        "leases_claimed": report["leases_claimed"],
-        "leases_reclaimed": report["leases_reclaimed"],
-        "adopted": report["adopted"],
-    })
-    return 0
-
-
-def opaque_prefix(warm_cycles: int, seed: int = 0):
-    """A warm context the snapshot layer must refuse: the machine drags
-    along an unpicklable attribute, so every cell falls back to cold
-    per-cell prefix execution (which never serialises the context)."""
-    from bench_perf_sweep import warm_prefix
-
-    machine = warm_prefix(20_000, warm_cycles, seed)
-    machine.chaos_probe = lambda: None  # unpicklable on purpose
-    return machine
-
-
-def prefix_grid(warm_cycles: int, tail_cycles: int, n_cells: int,
-                fn: str = "bench_perf_sweep:warm_prefix") -> list[Job]:
-    pre = Prefix.of(fn, **(
-        {"threshold_min": 20_000, "warm_cycles": warm_cycles}
-        if fn.endswith("warm_prefix") else {"warm_cycles": warm_cycles}))
-    return [
-        Job.of("bench_perf_sweep:warm_tail_cell", key=f"prefix-chaos/{think}",
-               prefix=pre, think_cycles=think, tail_cycles=tail_cycles)
-        for think in range(120, 120 + 24 * n_cells, 24)
-    ]
-
-
-def run_prefix_tier(smoke: bool) -> int:
-    """The prefix chaos tier: kill a worker *during the warmup stage*.
-
-    The cold serial reference runs with snapshots disabled — the
-    semantic baseline every warm-started, fault-recovered sweep must
-    match bit for bit.
-    """
-    if smoke:
-        warm_cycles, tail_cycles, n_cells = 800_000, 150_000, 4
-    else:
-        warm_cycles, tail_cycles, n_cells = 4_000_000, 300_000, 6
-    cells = prefix_grid(warm_cycles, tail_cycles, n_cells)
-
-    os.environ[SNAPSHOT_ENV] = "0"
-    try:
-        _reset_prefix_memo()
-        clean = SweepRunner(jobs=1, root_seed=ROOT_SEED, cache=None).run(cells)
-    finally:
-        os.environ.pop(SNAPSHOT_ENV, None)
-    clean_by_key = {r.key: r for r in clean}
-
-    try:
-        workers = [spawn_worker_process(), spawn_worker_process()]
-    except (OSError, ValueError) as exc:
-        print(f"fleet workers unavailable ({exc}); skipping prefix tier")
-        return 0
-    procs = [proc for proc, _addr in workers]
-    addresses = [addr for _proc, addr in workers]
-
-    plan = FaultPlan.of(
-        Fault("crash", 0, attempts=(1,), stage="prefix"),
-    )
-    runner = SweepRunner(
-        root_seed=ROOT_SEED, cache=None, policy="degrade",
-        backend="tcp", workers=addresses,
-        retry=RetryPolicy(max_attempts=3, backoff_base_s=0.05),
-        fault_plan=plan,
-    )
-    try:
-        _reset_prefix_memo()
-        results = runner.run(cells)
-        stats = runner.last_stats
-
-        assert len(results) == len(cells), "prefix tier must complete"
-        assert all(r.ok for r in results), (
-            f"no cell may fail: {[r.key for r in results if not r.ok]}"
-        )
-        assert all(r == clean_by_key[r.key] for r in results), (
-            "fault-recovered warm results must match the cold serial run"
-        )
-        assert stats["workers_lost"] >= 1, (
-            "the prefix-stage crash must cost the fleet a worker"
-        )
-        assert stats["retries"] >= 1, "the crashed cell must be retried"
-        assert stats["prefix_groups"] == 1, stats
-
-        deadline = time.monotonic() + 10.0
-        codes: list[int | None] = []
-        while time.monotonic() < deadline:
-            codes = [proc.poll() for proc in procs]
-            if CRASH_EXIT_CODE in codes:
-                break
-            time.sleep(0.1)
-        assert CRASH_EXIT_CODE in codes, (
-            f"no worker died mid-prefix with exit code {CRASH_EXIT_CODE}: "
-            f"{codes}"
-        )
-    finally:
-        for proc in procs:
-            if proc.poll() is None:
-                proc.terminate()
-        for proc in procs:
-            try:
-                proc.wait(timeout=10)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-
-    # Cold fallback: an unsnapshotable warm context degrades silently.
-    fallback_cells = prefix_grid(warm_cycles // 2, tail_cycles, 2,
-                                 fn="bench_chaos_sweep:opaque_prefix")
-    os.environ[SNAPSHOT_ENV] = "0"
-    try:
-        _reset_prefix_memo()
-        fallback_clean = SweepRunner(
-            jobs=1, root_seed=ROOT_SEED, cache=None).run(fallback_cells)
-    finally:
-        os.environ.pop(SNAPSHOT_ENV, None)
-    _reset_prefix_memo()
-    fallback_runner = SweepRunner(jobs=1, root_seed=ROOT_SEED, cache=None)
-    fallback = fallback_runner.run(fallback_cells)
-    assert fallback == fallback_clean, "cold fallback must match cold serial"
-    assert all(r.ok for r in fallback), "cold fallback must not error"
-    assert fallback_runner.last_stats["snapshot_stores"] == 0
-
-    lines = [
-        f"prefix chaos: {len(cells)} warm-start cells, 1 shared prefix, "
-        "2 loopback TCP workers",
-        f"fault: crash@{cells[0].key} during the PREFIX stage (attempt 1)",
-        f"recovery: workers_lost={stats['workers_lost']} "
-        f"retries={stats['retries']} prefix_groups={stats['prefix_groups']}",
-        f"results: {len(results)}/{len(cells)} bit-identical to cold serial "
-        f"(REPRO_SNAPSHOT=0); crashed worker exited {CRASH_EXIT_CODE}",
-        f"cold fallback: {len(fallback)} cells with an unsnapshotable "
-        "prefix completed, 0 snapshot stores",
-    ]
-    text = "\n".join(lines) + "\n"
-    print(text)
-    publish("chaos_prefix", text, data={
-        "cells": len(cells),
-        "warm_cycles": warm_cycles,
-        "workers_lost": stats["workers_lost"],
-        "retries": stats["retries"],
-        "prefix_groups": stats["prefix_groups"],
-        "results_equal": True,
-        "fallback_cells": len(fallback),
-        "fallback_equal": True,
-        "crash_exit_code": CRASH_EXIT_CODE,
-    })
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
@@ -561,37 +82,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="worker count for the chaos run (default 2)")
     parser.add_argument("--horizon", type=float, default=20.0,
                         help="simulated seconds per epoch cell")
-    parser.add_argument("--fleet", action="store_true",
-                        help="run the TCP fleet chaos tier (two loopback "
-                             "workers, one killed mid-sweep) instead of "
-                             "the pool tier")
-    parser.add_argument("--prefix", action="store_true",
-                        help="run the prefix chaos tier (warm-start grid, "
-                             "worker killed during the shared prefix stage) "
-                             "instead of the pool tier")
-    parser.add_argument("--multi-runner", action="store_true",
-                        help="run the cooperative chaos tier (two runner "
-                             "processes share one sweep via journal leases; "
-                             "one is SIGKILLed mid-cell) instead of the "
-                             "pool tier")
-    # Hidden plumbing for the multi-runner tier's child processes.
-    parser.add_argument("--coop-child", action="store_true",
-                        help=argparse.SUPPRESS)
-    parser.add_argument("--journal", help=argparse.SUPPRESS)
-    parser.add_argument("--ttl", type=float, default=1.5,
-                        help=argparse.SUPPRESS)
-    parser.add_argument("--tag", default="runner", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
     horizon = 3.0 if args.smoke else args.horizon
-    if args.coop_child:
-        return run_coop_child(args)
-    if args.multi_runner:
-        return run_multi_runner(args.smoke, args.horizon)
-    if args.fleet:
-        return run_fleet(horizon)
-    if args.prefix:
-        return run_prefix_tier(args.smoke)
     cells = sweep_jobs(horizon)
     assert len(cells) > max(CRASH_CELL, HANG_CELL, ERROR_CELL)
 
@@ -670,22 +163,6 @@ def main(argv: list[str] | None = None) -> int:
 def test_chaos_smoke():
     """Pytest entry: injected crash/hang/error sweep, degrade semantics."""
     assert main(["--smoke"]) == 0
-
-
-def test_fleet_chaos_smoke():
-    """Pytest entry: TCP fleet sweep with a worker killed mid-run."""
-    assert main(["--smoke", "--fleet"]) == 0
-
-
-def test_prefix_chaos_smoke():
-    """Pytest entry: warm-start sweep with a worker killed mid-prefix."""
-    assert main(["--smoke", "--prefix"]) == 0
-
-
-def test_multi_runner_chaos_smoke():
-    """Pytest entry: two cooperating runner processes, one SIGKILLed
-    mid-cell; the survivor drains the sweep bit-identically."""
-    assert main(["--smoke", "--multi-runner"]) == 0
 
 
 if __name__ == "__main__":

@@ -1,5 +1,4 @@
-"""Sweep-runner performance benchmark: parallel vs serial execution,
-plus prefix-sharing warm start.
+"""Sweep-runner performance benchmark: parallel vs serial execution.
 
 Runs the same epoch-model grid three ways and proves the runner's core
 contract on every measured run:
@@ -12,18 +11,11 @@ contract on every measured run:
 3. **cached** — cold run populates the on-disk cache, warm run must
    execute **zero** cells and replay every value from disk.
 
-A second grid exercises the **warm-start** tier: every cell forks a
-shared machine-warmup :class:`Prefix` (executed once, snapshotted,
-restored per cell) and the forked results must be bit-identical to cold
-per-cell execution (``REPRO_SNAPSHOT=0``) on the serial, process, and
-TCP backends.  The measured warm-vs-cold speedup carries its own gate
-(>= 3x).
-
-The speedup gates (>= 2.5x at 4 workers; >= 3x warm start) are enforced
-only on machines with at least 4 CPUs — process-pool fan-out cannot
-beat serial on a single core — and never under ``--smoke``; the
-measured numbers and the enforcement decisions are always recorded in
-``BENCH_sweep.json`` at the repository root.
+The speedup gate (>= 2.5x at 4 workers) is enforced only on machines
+with at least 4 CPUs — process-pool fan-out cannot beat serial on a
+single core — and never under ``--smoke``; the measured numbers and the
+enforcement decision are always recorded in ``BENCH_sweep.json`` at the
+repository root.
 
 Run standalone::
 
@@ -47,26 +39,15 @@ if str(REPO_ROOT / "src") not in sys.path:
 if str(REPO_ROOT / "benchmarks") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
-from repro.presets import small_machine
-from repro.runner import (
-    Job,
-    Prefix,
-    ResultCache,
-    SNAPSHOT_ENV,
-    SweepRunner,
-    derive_seed,
-    start_thread_worker,
-)
-from repro.runner.backends.base import _reset_prefix_memo
+from repro.runner import Job, ResultCache, SweepRunner, derive_seed
 from repro.sim.epoch import run_epoch_cell
-from repro.workloads import SPEC2006_INT, HammerWorkload
+from repro.workloads import SPEC2006_INT
 
 from _common import CACHE_DIR, publish
 
 ROOT_SEED = 47
 GATE_SPEEDUP = 2.5
 GATE_MIN_CPUS = 4
-WARM_GATE_SPEEDUP = 3.0
 
 
 def sweep_jobs(horizon_s: float) -> list[Job]:
@@ -87,125 +68,6 @@ def timed_run(cells: list[Job], jobs: int) -> tuple[list, dict, float]:
     start = time.perf_counter()
     results = runner.run(cells)
     return results, runner.last_stats, time.perf_counter() - start
-
-
-# -- warm-start grid: cells forking a shared machine-warmup prefix -------------
-
-
-def warm_prefix(threshold_min: int, warm_cycles: int, seed: int = 0):
-    """Shared warmup stage: a machine hammered to the divergence point."""
-    machine = small_machine(threshold_min=threshold_min, seed=seed)
-    workload = HammerWorkload(aggressors=2, think_cycles=120, seed=seed)
-    workload.prepare(machine)
-    machine.run_fast(workload.ops(), max_cycles=warm_cycles)
-    return machine
-
-
-def warm_tail_cell(think_cycles: int, tail_cycles: int, prefix, seed: int = 0):
-    """Divergent tail: a fresh workload on the forked warm machine."""
-    machine = prefix
-    workload = HammerWorkload(aggressors=2, think_cycles=think_cycles,
-                              seed=seed)
-    workload.prepare(machine)
-    result = machine.run_fast(workload.ops(), max_cycles=tail_cycles)
-    return (machine.cycles, result.ops_executed, result.loads,
-            result.llc_misses, result.dram_accesses, result.overhead_cycles,
-            machine.memory.flip_count())
-
-
-def warm_jobs(warm_cycles: int, tail_cycles: int, n_cells: int) -> list[Job]:
-    pre = Prefix.of("bench_perf_sweep:warm_prefix",
-                    threshold_min=20_000, warm_cycles=warm_cycles)
-    return [
-        Job.of("bench_perf_sweep:warm_tail_cell", key=f"warm/{think}",
-               prefix=pre, think_cycles=think, tail_cycles=tail_cycles)
-        for think in range(120, 120 + 24 * n_cells, 24)
-    ]
-
-
-def timed_warm_run(cells: list[Job], snapshots: bool, backend: str = "serial",
-                   **kwargs) -> tuple[list, dict, float]:
-    """One sweep with the snapshot knob pinned on or off, fresh memo."""
-    _reset_prefix_memo()
-    os.environ[SNAPSHOT_ENV] = "1" if snapshots else "0"
-    try:
-        runner = SweepRunner(root_seed=ROOT_SEED, cache=None,
-                             backend=backend, **kwargs)
-        start = time.perf_counter()
-        results = runner.run(cells)
-        return results, runner.last_stats, time.perf_counter() - start
-    finally:
-        os.environ.pop(SNAPSHOT_ENV, None)
-        _reset_prefix_memo()
-
-
-def warm_start_section(smoke: bool) -> tuple[dict, list[str]]:
-    """Measure warm-vs-cold and prove 3-backend bit-identity."""
-    if smoke:
-        cells = warm_jobs(warm_cycles=1_000_000, tail_cycles=200_000, n_cells=3)
-    else:
-        cells = warm_jobs(warm_cycles=8_000_000, tail_cycles=400_000, n_cells=8)
-
-    cold, _, t_cold = timed_warm_run(cells, snapshots=False, jobs=1)
-    warm, warm_stats, t_warm = timed_warm_run(cells, snapshots=True, jobs=1)
-    assert warm == cold, "warm-started sweep must be bit-identical to cold"
-    assert warm_stats["prefix_groups"] == 1
-
-    # Conformance: the forked results survive process and wire transport.
-    proc, _, _ = timed_warm_run(cells, snapshots=True, backend="process",
-                                jobs=2)
-    assert proc == cold, "process warm start must match cold serial"
-    addr1, stop1 = start_thread_worker()
-    addr2, stop2 = start_thread_worker()
-    try:
-        tcp, _, _ = timed_warm_run(cells, snapshots=True, backend="tcp",
-                                   workers=[addr1, addr2], jobs=2)
-    finally:
-        stop1()
-        stop2()
-    assert tcp == cold, "tcp warm start must match cold serial"
-
-    # Snapshot cache: first sweep stores the warm context, a new grid
-    # sharing the prefix replays it from disk.
-    cache = ResultCache(CACHE_DIR / "perf_sweep_warm")
-    cache.clear()
-    _reset_prefix_memo()
-    store_runner = SweepRunner(jobs=1, root_seed=ROOT_SEED, cache=cache)
-    store_runner.run(cells[:2])
-    _reset_prefix_memo()
-    hit_runner = SweepRunner(jobs=1, root_seed=ROOT_SEED, cache=cache)
-    hit_runner.run(cells[2:])
-    snap_stats = {
-        "snapshot_hits": hit_runner.last_stats["snapshot_hits"],
-        "snapshot_misses": store_runner.last_stats["snapshot_misses"],
-        "snapshot_stores": store_runner.last_stats["snapshot_stores"],
-    }
-    assert snap_stats["snapshot_stores"] == 1, "first sweep must store the blob"
-    assert snap_stats["snapshot_hits"] == 1, "prefix snapshot must hit on disk"
-    cache.clear()
-    _reset_prefix_memo()
-
-    speedup = t_cold / t_warm if t_warm > 0 else float("inf")
-    data = {
-        "cells": len(cells),
-        "cold_serial_s": round(t_cold, 4),
-        "warm_serial_s": round(t_warm, 4),
-        "speedup": round(speedup, 3),
-        "prefix_groups": warm_stats["prefix_groups"],
-        "results_equal": True,
-        "backends_conform": ["serial", "process", "tcp"],
-        "cache": snap_stats,
-    }
-    lines = [
-        f"warm-start grid: {len(cells)} cells, 1 shared prefix",
-        f"cold serial: {t_cold:8.2f}s   warm serial: {t_warm:8.2f}s"
-        f"   speedup: {speedup:.2f}x",
-        "warm == cold on serial, process, tcp (elementwise)",
-        f"snapshot cache: hits {snap_stats['snapshot_hits']}, "
-        f"misses {snap_stats['snapshot_misses']}, "
-        f"stores {snap_stats['snapshot_stores']}",
-    ]
-    return data, lines
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -246,14 +108,10 @@ def main(argv: list[str] | None = None) -> int:
     assert warm_results == cold_results == serial_results
     cache.clear()
 
-    warm_data, warm_lines = warm_start_section(args.smoke)
-
     cpus = os.cpu_count() or 1
     pool_started = parallel_stats["mode"] == "parallel"
     gate_on = (not args.smoke and not args.no_gate
                and pool_started and cpus >= GATE_MIN_CPUS)
-    warm_gate_on = (not args.smoke and not args.no_gate
-                    and cpus >= GATE_MIN_CPUS)
 
     lines = [
         f"sweep grid: {len(cells)} epoch cells, horizon {horizon:.0f}s",
@@ -269,13 +127,6 @@ def main(argv: list[str] | None = None) -> int:
         f"(hits {warm_stats['cache_hits']}/{len(cells)})",
         "results: parallel == serial == cached (elementwise)",
     ]
-    lines += warm_lines
-    lines.append(
-        f"warm-start speedup: {warm_data['speedup']:.2f}x  "
-        f"(gate {WARM_GATE_SPEEDUP}x "
-        + ("ENFORCED)" if warm_gate_on else
-           f"not enforced: cpus={cpus}"
-           + (", smoke)" if args.smoke else ")")))
     text = "\n".join(lines) + "\n"
     print(text)
     publish("perf_sweep", text)
@@ -295,15 +146,6 @@ def main(argv: list[str] | None = None) -> int:
             "cold_executed": cold_stats["executed"],
             "warm_executed": warm_stats["executed"],
             "warm_hits": warm_stats["cache_hits"],
-            **warm_data["cache"],
-        },
-        "warm_start": {
-            **warm_data,
-            "gate": {
-                "speedup": WARM_GATE_SPEEDUP,
-                "min_cpus": GATE_MIN_CPUS,
-                "enforced": warm_gate_on,
-            },
         },
         "gate": {
             "speedup": GATE_SPEEDUP,
@@ -318,10 +160,6 @@ def main(argv: list[str] | None = None) -> int:
     if gate_on and speedup < GATE_SPEEDUP:
         print(f"FAIL: speedup {speedup:.2f}x below gate {GATE_SPEEDUP}x",
               file=sys.stderr)
-        return 1
-    if warm_gate_on and warm_data["speedup"] < WARM_GATE_SPEEDUP:
-        print(f"FAIL: warm-start speedup {warm_data['speedup']:.2f}x "
-              f"below gate {WARM_GATE_SPEEDUP}x", file=sys.stderr)
         return 1
     return 0
 

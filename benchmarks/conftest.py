@@ -8,12 +8,8 @@ expose the sweep execution knobs:
 - ``--fail-policy degrade`` returns partial sweep results plus a failure
   manifest instead of raising on the first exhausted cell
   (``REPRO_FAIL_POLICY``);
-- ``--cell-timeout 300`` bounds each cell attempt's wall clock on
-  preemptible backends (``REPRO_CELL_TIMEOUT``, seconds);
-- ``--backend tcp --workers HOST:PORT,...`` runs sweep grids on an
-  explicit executor backend, e.g. a TCP fleet of
-  ``python -m repro worker serve`` processes (``REPRO_BACKEND`` /
-  ``REPRO_WORKERS``; results stay bit-identical on any backend).
+- ``--cell-timeout 300`` bounds each cell attempt's wall clock when
+  cells run on the process pool (``REPRO_CELL_TIMEOUT``, seconds).
 """
 
 from __future__ import annotations
@@ -49,24 +45,8 @@ def pytest_addoption(parser):
         default=None,
         metavar="S",
         help="per-attempt wall-clock budget (seconds) for each sweep "
-        "cell, enforced on preemptible backends (default: "
+        "cell, enforced when cells run on the process pool (default: "
         "REPRO_CELL_TIMEOUT or unlimited)",
-    )
-    parser.addoption(
-        "--backend",
-        action="store",
-        default=None,
-        choices=("serial", "process", "tcp"),
-        help="executor backend for sweep-shaped benches (default: "
-        "REPRO_BACKEND, else process when --jobs > 1)",
-    )
-    parser.addoption(
-        "--workers",
-        action="store",
-        default=None,
-        metavar="HOST:PORT[,...]",
-        help="tcp fleet worker addresses for --backend tcp "
-        "(default: REPRO_WORKERS)",
     )
 
 
@@ -80,9 +60,3 @@ def pytest_configure(config):
     timeout = config.getoption("--cell-timeout", default=None)
     if timeout is not None:
         os.environ["REPRO_CELL_TIMEOUT"] = str(float(timeout))
-    backend = config.getoption("--backend", default=None)
-    if backend is not None:
-        os.environ["REPRO_BACKEND"] = backend
-    workers = config.getoption("--workers", default=None)
-    if workers is not None:
-        os.environ["REPRO_WORKERS"] = workers

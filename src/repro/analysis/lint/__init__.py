@@ -5,7 +5,7 @@ bit-identical-results guarantee in this repo rests on:
 
 =======  ==============================================================
 ``DET``  nothing reachable from seed derivation, ``code_fingerprint``,
-         journal records, or wire payloads may call ``hash()``/``id()``/
+         journal records, or cell execution may call ``hash()``/``id()``/
          wall clocks/``os.urandom``/the unseeded global RNG; the
          serialization core must iterate sorted and ``json.dumps`` with
          ``sort_keys=True``

@@ -2,7 +2,7 @@
 
 The DET invariant is not "nothing in the repo may call ``hash()``" — it
 is "nothing *reachable from* seed derivation, cache fingerprints,
-journal records, or wire payloads may be nondeterministic".  This module
+journal records, or cell execution may be nondeterministic".  This module
 makes that reachability machine-checked: it builds the intra-package
 import graph from the parsed ASTs (including imports deferred inside
 functions) and computes the closure of a configured root set.  A module

@@ -71,7 +71,7 @@ class LintConfig:
 
     # -- DET: determinism scope ------------------------------------------------
     #: Import-graph roots: the modules that derive seeds, fingerprint code,
-    #: write journal records, or build wire payloads.  Everything they
+    #: write journal records, or execute cells.  Everything they
     #: (transitively) import is determinism-scoped.
     det_roots: tuple[str, ...] = (
         "repro.runner.seeding",
@@ -79,29 +79,24 @@ class LintConfig:
         "repro.runner.checkpoint",
         "repro.runner.job",
         "repro.runner.runner",
-        "repro.runner.worker",
-        "repro.runner.backends.wire",
-        "repro.runner.backends.tcp",
     )
     #: Treat every linted file as DET-scoped and DET-core (fixture trees
     #: and ad-hoc paths, where module names do not resolve).
     det_all: bool = False
-    #: path-suffix -> dotted call names exempt there.  The timing shims
-    #: measure per-cell wall-clock *telemetry* (``duration_s``), which is
-    #: excluded from result equality, journal identity, and cache keys.
+    #: path-suffix -> dotted call names exempt there.  The timing shim
+    #: (``run_task``) measures per-cell wall-clock *telemetry*
+    #: (``duration_s``), which is excluded from result equality, journal
+    #: identity, and cache keys.
     det_allowed_calls: tuple[tuple[str, tuple[str, ...]], ...] = (
-        ("repro/runner/worker.py", ("time.perf_counter",)),
         ("repro/runner/backends/base.py", ("time.perf_counter",)),
     )
     #: The serialization core: files whose *iteration order and JSON
-    #: encoding* feed hashes, journal lines, or wire frames directly.
+    #: encoding* feed hashes or journal lines directly.
     det_core_suffixes: tuple[str, ...] = (
         "repro/runner/seeding.py",
         "repro/runner/cache.py",
         "repro/runner/checkpoint.py",
         "repro/runner/job.py",
-        "repro/runner/backends/wire.py",
-        "repro/sim/snapshot.py",
     )
 
     # -- EQV: engine observable parity -----------------------------------------

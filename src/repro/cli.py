@@ -13,18 +13,12 @@ Commands map onto the library's headline capabilities:
 - ``lint`` — the determinism & engine-equivalence static-analysis suite
   (exits nonzero on any non-baselined finding, mirroring ``cache
   verify``; see :mod:`repro.analysis.lint`);
-- ``worker`` — fleet capacity for the TCP backend: ``worker serve`` runs
-  one worker in the foreground; ``worker pool --workers N`` runs a
-  self-healing :class:`~repro.runner.WorkerSupervisor` that spawns N
-  workers and restarts crashed ones (seeded backoff, restart budgets);
 - ``info`` — the simulated machine's configuration.
 
 Every sweep-running command (``defense-grid``, ``spec-overhead``) takes
-the same execution flags — ``--jobs``, ``--backend``, ``--workers``,
-``--seed``, ``--fail-policy``, ``--cell-timeout``, ``--retries``,
-``--heartbeat``, ``--checkpoint``, ``--lease-ttl`` — from
-one shared parent parser, mirroring the ``REPRO_JOBS`` / ``REPRO_BACKEND``
-/ ``REPRO_WORKERS`` environment knobs.
+the same execution flags — ``--jobs``, ``--seed``, ``--fail-policy``,
+``--cell-timeout``, ``--retries``, ``--checkpoint`` — from one shared
+parent parser; ``--jobs`` mirrors the ``REPRO_JOBS`` environment knob.
 
 The CLI runs everything at the scaled demo size so each command finishes
 in seconds-to-a-minute; the benchmark harness covers paper scale.
@@ -49,14 +43,12 @@ from .core import AnvilConfig, AnvilModule
 from .errors import ReproError
 from .presets import small_machine
 from .runner import (
-    BACKENDS,
     FAILURE_POLICIES,
     Job,
     ResultCache,
     RetryPolicy,
     SweepRunner,
     derive_seed,
-    serve_worker,
 )
 from .sim.epoch import double_refresh_normalized_time, run_epoch_cell
 from .units import MB
@@ -79,20 +71,13 @@ def _sweep_parent() -> argparse.ArgumentParser:
 
     One parent parser keeps ``defense-grid``/``spec-overhead`` (and any
     future sweep command) flag-compatible with each other and with the
-    ``REPRO_JOBS``/``REPRO_BACKEND``/``REPRO_WORKERS`` environment knobs.
+    ``REPRO_JOBS`` environment knob.
     """
     parent = argparse.ArgumentParser(add_help=False)
     group = parent.add_argument_group("sweep execution")
     group.add_argument("--jobs", type=int, default=None,
                        help="worker processes for the sweep (0 = one per "
                             "CPU; default: $REPRO_JOBS or serial)")
-    group.add_argument("--backend", choices=BACKENDS, default=None,
-                       help="executor backend: serial, process, or tcp "
-                            "(default: $REPRO_BACKEND, else process when "
-                            "--jobs > 1)")
-    group.add_argument("--workers", default=None, metavar="HOST:PORT[,...]",
-                       help="tcp fleet worker addresses "
-                            "(default: $REPRO_WORKERS)")
     group.add_argument("--seed", type=int, default=0,
                        help="root seed; per-cell seeds derive from it")
     group.add_argument("--fail-policy", choices=FAILURE_POLICIES,
@@ -102,67 +87,23 @@ def _sweep_parent() -> argparse.ArgumentParser:
     group.add_argument("--cell-timeout", type=float, default=None,
                        metavar="S",
                        help="per-attempt wall-clock budget per cell "
-                            "(enforced on preemptible backends)")
+                            "(enforced when cells run on the process pool)")
     group.add_argument("--retries", type=int, default=2,
                        help="retries per failed cell before it is "
                             "recorded as a failure (default 2)")
-    group.add_argument("--heartbeat", type=float, default=None, metavar="S",
-                       help="tcp fleet liveness heartbeat interval: hung "
-                            "workers are retired after 2x this and "
-                            "restarted workers re-admitted mid-sweep")
     group.add_argument("--checkpoint", default=None, metavar="PATH",
                        help="journal completed cells to PATH so an "
                             "interrupted sweep resumes where it stopped")
-    group.add_argument("--lease-ttl", type=float, default=None, metavar="S",
-                       help="cooperative mode (requires --checkpoint): "
-                            "claim cells via journal leases of this TTL so "
-                            "several runner processes share one sweep")
     return parent
-
-
-def _run_worker_pool(args: argparse.Namespace) -> int:
-    """``worker pool``: supervise a self-healing local worker fleet."""
-    import json
-    import os
-
-    from .runner import WorkerSupervisor
-
-    def emit(event: str, slot: int, detail: str) -> None:
-        print(json.dumps(
-            {"op": "pool-event", "event": event, "slot": slot,
-             "detail": detail}, sort_keys=True), flush=True)
-
-    supervisor = WorkerSupervisor(
-        workers=args.pool_workers, host=args.host,
-        max_restarts=args.max_restarts, seed=args.seed,
-        on_event=emit,
-    )
-    try:
-        addresses = supervisor.start()
-    except OSError as exc:
-        print(f"error: worker pool failed to start: {exc}", file=sys.stderr)
-        return 2
-    print(json.dumps(
-        {"op": "pool", "pid": os.getpid(), "workers": addresses},
-        sort_keys=True), flush=True)
-    try:
-        supervisor.run()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        supervisor.stop()
-    return 0
 
 
 def _sweep_runner(args: argparse.Namespace) -> SweepRunner:
     """A :class:`SweepRunner` wired from the shared sweep flags."""
     return SweepRunner(
         jobs=args.jobs, root_seed=args.seed, policy=args.fail_policy,
-        backend=args.backend, workers=args.workers,
         retry=RetryPolicy(max_attempts=args.retries + 1,
                           timeout_s=args.cell_timeout),
-        heartbeat_s=args.heartbeat, checkpoint=args.checkpoint,
-        lease_ttl=args.lease_ttl,
+        checkpoint=args.checkpoint,
     )
 
 
@@ -222,29 +163,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="reverse-engineer the LLC replacement policy")
     probe.add_argument("--rounds", type=int, default=30)
 
-    worker = sub.add_parser(
-        "worker", help="serve sweep cells over TCP (fleet backend)")
-    worker.add_argument("action", choices=("serve", "pool"),
-                        help="serve: accept cells from TcpFleetBackend "
-                             "runners until interrupted; pool: supervise "
-                             "N local workers, restarting crashed ones")
-    worker.add_argument("--listen", default="127.0.0.1:0",
-                        metavar="HOST:PORT",
-                        help="serve: bind address; port 0 picks a free "
-                             "port, announced as a JSON line on stdout "
-                             "(default 127.0.0.1:0)")
-    worker.add_argument("--workers", dest="pool_workers", type=int, default=2,
-                        help="pool: supervised worker count (default 2)")
-    worker.add_argument("--host", default="127.0.0.1",
-                        help="pool: bind host for the workers "
-                             "(default 127.0.0.1)")
-    worker.add_argument("--max-restarts", type=int, default=5,
-                        help="pool: per-worker restart budget before the "
-                             "slot is retired (default 5)")
-    worker.add_argument("--seed", type=int, default=0,
-                        help="pool: seed for the deterministic restart-"
-                             "backoff jitter")
-
     sub.add_parser("info", help="print the simulated machine configuration")
     return parser
 
@@ -280,7 +198,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     return 0 if (result.flips == 0) == bool(args.anvil) else 1
 
 
-#: The defense-grid axes (module-level so grid cells are pool/fleet-importable).
+#: The defense-grid axes (module-level so grid cells are pool-importable).
 GRID_DEFENSES = ("none", "double-refresh", "clflush-ban", "pagemap-restricted",
                  "para", "trr", "armor", "anvil")
 GRID_ATTACKS = (("double-sided", "CLFLUSH double-sided"),
@@ -291,7 +209,7 @@ def run_defense_grid_cell(defense: str, attack: str) -> str:
     """One (defense x attack) matrix cell; the grid sweep's job body.
 
     Module-level and addressed by ``ATTACKS`` key so the cell is
-    importable by process-pool and TCP fleet workers.  The demo machine
+    importable by process-pool workers.  The demo machine
     is fully deterministic at these settings — no seed is taken, so the
     sweep runs the cell with ``pass_seed=False``.
     """
@@ -407,10 +325,8 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         return 0
     report = cache.verify(repair=not args.no_repair)
     print(f"cache scrub of {report['directory']}")
-    print(f"  entries checked : {report['checked']}"
-          f" (snapshots: {report['snapshots_checked']})")
-    print(f"  intact          : {report['ok']}"
-          f" (snapshots: {report['snapshots_ok']})")
+    print(f"  entries checked : {report['checked']}")
+    print(f"  intact          : {report['ok']}")
     print(f"  corrupt         : {len(report['corrupt'])}")
     print(f"  quarantined     : {report['quarantined']}")
     for key in report["corrupt"]:
@@ -418,16 +334,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     # Corruption is a finding, not a success: a nonzero exit lets CI gate
     # on a clean cache even though the entries were quarantined.
     return 1 if report["corrupt"] else 0
-
-
-def _cmd_worker(args: argparse.Namespace) -> int:
-    if args.action == "pool":
-        return _run_worker_pool(args)
-    try:
-        serve_worker(args.listen)
-    except KeyboardInterrupt:
-        pass
-    return 0
 
 
 def _cmd_probe_policy(args: argparse.Namespace) -> int:
@@ -477,7 +383,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "cache": _cmd_cache,
         "lint": lint_cli.run,
         "probe-policy": _cmd_probe_policy,
-        "worker": _cmd_worker,
         "info": _cmd_info,
     }
     try:

@@ -72,15 +72,3 @@ class SweepError(ReproError):
 class CacheCorruptionError(ReproError):
     """A result-cache entry failed its integrity check (bad magic, torn
     payload, or checksum mismatch)."""
-
-
-class SnapshotError(ReproError):
-    """A machine snapshot blob failed its integrity check (bad magic,
-    truncated header, checksum mismatch, or unpicklable payload)."""
-
-
-class SnapshotUnsupportedError(SnapshotError):
-    """The value cannot be snapshotted deterministically — e.g. a cache
-    replacement policy reports no canonical state (``state_key() is
-    None``) or the object graph holds unpicklable state.  Callers fall
-    back to cold execution instead of failing the cell."""

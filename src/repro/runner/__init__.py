@@ -1,142 +1,89 @@
-"""Declarative sweep execution: jobs, deterministic seeds, pluggable
-executor backends, incremental result caching, and fault-tolerant
-recovery.
+"""Declarative sweep execution: jobs, deterministic seeds, an in-process
+loop or a local process pool, incremental result caching, and
+fault-tolerant recovery.
 
 Every reproduced figure/table iterates a (config x workload x seed) grid
 of independent, seeded simulations.  This package turns such a grid into
 a list of :class:`Job` cells and executes it with :class:`SweepRunner`:
-in-process (:class:`SerialBackend`), across a local pool
-(:class:`ProcessPoolBackend`), sharded over a TCP fleet of worker
-machines (:class:`TcpFleetBackend`, one ``python -m repro worker serve``
-per host), or straight from the on-disk result cache — always producing
-the identical, input-ordered, bit-identical result list.  A
-cell that raises, hangs past its timeout, or kills its worker is retried
-with backoff (final attempt in-process) and, if it still fails, becomes
-a structured error record governed by the sweep's failure policy;
-completed cells journal to a checkpoint manifest so interrupted sweeps
-resume where they stopped.  :class:`FaultPlan`/:class:`FaultInjector`
-make every one of those recovery paths deterministically testable.
+in the runner's own process (``jobs=1``), across a local pool
+(:class:`ProcessPoolBackend`), or straight from the on-disk result cache
+— always producing the identical, input-ordered, bit-identical result
+list.  A cell that raises, hangs past its timeout, or kills its worker
+is retried with backoff (final attempt in-process) and, if it still
+fails, becomes a structured error record governed by the sweep's
+failure policy; completed cells journal to a checkpoint manifest so
+interrupted sweeps resume where they stopped.
+:class:`FaultPlan`/:class:`FaultInjector` make every one of those
+recovery paths deterministically testable.
 
 Quick form::
 
-    from repro.runner import Job, SweepRunner
+    from repro.runner import Job, RetryPolicy, SweepRunner
 
     jobs = [
         Job.of(my_cell, key=f"{cfg}/{wl}", config=cfg, workload=wl)
         for cfg in configs for wl in workloads
     ]
     runner = SweepRunner(jobs=4, root_seed=7, cache=".cache",
-                         policy="degrade", timeout_s=300.0,
+                         policy="degrade", retry=RetryPolicy(timeout_s=300.0),
                          checkpoint=".cache/sweep.journal")
     values = runner.values(jobs)
 """
 
 from .backends import (
-    BACKENDS,
-    SNAPSHOT_ENV,
     BackendUnavailableError,
     CellTask,
-    ExecutorBackend,
     ProcessPoolBackend,
-    SerialBackend,
     TaskOutcome,
-    TcpFleetBackend,
     TransientSubmitError,
-    WorkerHealth,
-    make_backend,
-    snapshots_enabled,
 )
-from .backends.wire import WireProtocolError
 from .cache import ResultCache, code_fingerprint, invalidate_fingerprints
-from .checkpoint import LeaseTable, SweepJournal, sweep_id
+from .checkpoint import SweepJournal, sweep_id
 from .faults import (
     Fault,
     FaultInjector,
     FaultPlan,
     InjectedCrashError,
     InjectedFaultError,
-    InjectedFreezeError,
-    InjectedPartitionError,
     permanent_cells,
 )
-from .job import (
-    Job,
-    JobResult,
-    Prefix,
-    callable_spec,
-    resolve_callable,
-    run_job,
-    run_prefix,
-)
+from .job import Job, JobResult, callable_spec, resolve_callable, run_job
 from .policy import DEGRADE, FAILURE_POLICIES, STRICT, RetryPolicy, parse_failure_policy
-from .runner import (
-    BACKEND_ENV,
-    JOBS_ENV,
-    WORKERS_ENV,
-    SweepRunner,
-    default_backend,
-    default_jobs,
-    default_workers,
-)
+from .runner import JOBS_ENV, SweepRunner, default_jobs
 from .seeding import canonical_repr, derive_seed, stable_digest, stable_hash
-from .supervisor import WorkerSupervisor
-from .worker import serve as serve_worker
-from .worker import spawn_worker_process, start_thread_worker
 
 __all__ = [
-    "BACKENDS",
-    "BACKEND_ENV",
     "BackendUnavailableError",
     "CellTask",
     "DEGRADE",
-    "ExecutorBackend",
     "FAILURE_POLICIES",
     "Fault",
     "FaultInjector",
     "FaultPlan",
     "InjectedCrashError",
     "InjectedFaultError",
-    "InjectedFreezeError",
-    "InjectedPartitionError",
     "JOBS_ENV",
     "Job",
     "JobResult",
-    "LeaseTable",
-    "Prefix",
     "ProcessPoolBackend",
     "ResultCache",
     "RetryPolicy",
-    "SNAPSHOT_ENV",
     "STRICT",
-    "SerialBackend",
     "SweepJournal",
     "SweepRunner",
     "TaskOutcome",
-    "TcpFleetBackend",
     "TransientSubmitError",
-    "WORKERS_ENV",
-    "WireProtocolError",
-    "WorkerHealth",
-    "WorkerSupervisor",
     "callable_spec",
     "canonical_repr",
     "code_fingerprint",
-    "default_backend",
     "default_jobs",
-    "default_workers",
     "derive_seed",
     "invalidate_fingerprints",
-    "make_backend",
     "parse_failure_policy",
     "permanent_cells",
     "resolve_callable",
     "run_job",
-    "run_prefix",
-    "serve_worker",
-    "snapshots_enabled",
-    "spawn_worker_process",
     "stable_digest",
     "stable_hash",
-    "start_thread_worker",
     "sweep_id",
 ]

@@ -1,99 +1,39 @@
-"""Pluggable executor backends for :class:`~repro.runner.SweepRunner`.
+"""Process-pool execution for :class:`~repro.runner.SweepRunner`.
 
-The runner owns sweep policy (seeds, cache, retries, timeouts, journal);
-a backend owns the mechanics of running cells: in-process
-(:class:`SerialBackend`), on a local process pool
-(:class:`ProcessPoolBackend`), or across a TCP fleet of worker
-processes (:class:`TcpFleetBackend`).  All backends are interchangeable
-by construction — per-cell SHA-256 seed derivation makes placement
-irrelevant, so the same sweep yields bit-identical results on any of
-them (enforced by the conformance suite in ``tests/test_backends.py``).
+The runner owns sweep policy (seeds, cache, retries, timeouts, journal)
+and runs cells in-process when serial; :class:`ProcessPoolBackend`
+hides the pool mechanics (``BrokenProcessPool`` recovery, pickling
+rejection, abandon-on-timeout) when parallel.  Per-cell SHA-256 seed
+derivation makes placement irrelevant, so both paths yield bit-identical
+results (enforced by ``tests/test_backends.py``).
 """
 
 from __future__ import annotations
 
-from ...errors import ConfigError
 from .base import (
     ERROR,
     LOST,
     OK,
-    OUTCOME_KINDS,
     REJECTED,
     REQUEUED,
-    SNAPSHOT_ENV,
     BackendUnavailableError,
     CellTask,
-    ExecutorBackend,
     TaskOutcome,
     TransientSubmitError,
-    WorkerHealth,
-    normalize_addresses,
     run_task,
-    snapshots_enabled,
 )
 from .process import ProcessPoolBackend
-from .serial import SerialBackend
-from .tcp import TcpFleetBackend
-
-#: Names accepted by ``--backend`` / ``REPRO_BACKEND`` / ``SweepRunner``.
-BACKENDS = ("serial", "process", "tcp")
-
-
-def make_backend(
-    name: str,
-    *,
-    jobs: int = 1,
-    workers=None,
-    max_rebuilds: int = 16,
-    heartbeat_s: float | None = None,
-) -> ExecutorBackend:
-    """Build a backend from its registry name.
-
-    ``jobs`` sizes the process pool; ``workers`` is the TCP fleet's
-    ``HOST:PORT`` address list (string or sequence).  A ``tcp://h:p,h:p``
-    name carries its own addresses.  ``heartbeat_s`` enables the TCP
-    fleet's liveness heartbeat and mid-sweep worker re-admission
-    (ignored by the other backends, which have no remote peers to probe).
-    """
-    spec = (name or "").strip().lower()
-    if spec.startswith("tcp://"):
-        workers = spec[len("tcp://"):]
-        spec = "tcp"
-    if spec == "serial":
-        return SerialBackend()
-    if spec == "process":
-        return ProcessPoolBackend(max(1, jobs), max_rebuilds=max_rebuilds)
-    if spec == "tcp":
-        addresses = normalize_addresses(workers)
-        if not addresses:
-            raise ConfigError(
-                "tcp backend needs worker addresses (--workers HOST:PORT[,...]"
-                " or REPRO_WORKERS)"
-            )
-        return TcpFleetBackend(addresses, heartbeat_s=heartbeat_s)
-    raise ConfigError(f"unknown sweep backend {name!r}; expected one of {BACKENDS}")
-
 
 __all__ = [
-    "BACKENDS",
     "BackendUnavailableError",
     "CellTask",
     "ERROR",
-    "ExecutorBackend",
     "LOST",
     "OK",
-    "OUTCOME_KINDS",
     "ProcessPoolBackend",
     "REJECTED",
     "REQUEUED",
-    "SNAPSHOT_ENV",
-    "SerialBackend",
     "TaskOutcome",
-    "TcpFleetBackend",
     "TransientSubmitError",
-    "WorkerHealth",
-    "make_backend",
-    "normalize_addresses",
     "run_task",
-    "snapshots_enabled",
 ]

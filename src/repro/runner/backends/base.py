@@ -1,62 +1,37 @@
-"""The executor-backend contract: *how* sweep cells run.
+"""The task/outcome records exchanged between the runner and its pool.
 
 :class:`~repro.runner.runner.SweepRunner` owns sweep *policy* — seed
 derivation, caching, retry/backoff, per-cell timeouts, failure policies,
-and the checkpoint journal.  Everything about where a cell's code
-actually executes lives behind :class:`ExecutorBackend`: in this process
-(:class:`~.serial.SerialBackend`), on a local process pool
-(:class:`~.process.ProcessPoolBackend`), or on a fleet of networked
-worker processes (:class:`~.tcp.TcpFleetBackend`).
+and the checkpoint journal — and runs cells either in its own process
+or on a :class:`~.process.ProcessPoolBackend`.  Both execution sites go
+through :func:`run_task`; the pool reports each attempt back as a
+:class:`TaskOutcome` whose *kind* tells the runner how to charge it:
 
-The contract is deliberately small:
-
-- :meth:`ExecutorBackend.start` brings the backend up (connect, warm a
-  pool); it raises :class:`BackendUnavailableError` when execution can
-  never work here, which the runner answers with its in-process serial
-  fallback.
-- :meth:`ExecutorBackend.submit` hands over one :class:`CellTask`; it
-  may raise :class:`TransientSubmitError` ("not right now — re-offer the
-  task later, uncharged") or :class:`BackendUnavailableError` ("never").
-- :meth:`ExecutorBackend.poll` blocks up to ``timeout`` seconds and
-  returns completed :class:`TaskOutcome` records.  Outcomes carry a
-  *kind* that tells the runner how to charge the cell:
-
-  ========== =====================================================
-  ``ok``      cell value computed; settle the cell
-  ``error``   the cell raised; charge the attempt, retry/backoff
-  ``lost``    the worker died under the cell; charge the attempt
-  ``requeued`` collateral damage (a sibling's crash/abandonment);
-              re-dispatch without charging an attempt
-  ``rejected`` the payload/result cannot cross this backend's
-              boundary at all; the runner goes serial for the sweep
-  ========== =====================================================
-
-- :meth:`ExecutorBackend.abandon` gives up on stuck in-flight tasks (the
-  runner's per-cell wall-clock timeout); the backend reclaims whatever
-  capacity it can and re-offers innocent tasks as ``requeued`` outcomes.
-- :meth:`ExecutorBackend.worker_health` reports per-worker liveness and
-  throughput; :meth:`ExecutorBackend.stats` aggregates counters
-  (``pool_breaks``, ``workers_lost``) that the runner merges into
-  ``last_stats``.
+========== =====================================================
+``ok``      cell value computed; settle the cell
+``error``   the cell raised; charge the attempt, retry/backoff
+``lost``    the worker died under the cell; charge the attempt
+``requeued`` collateral damage (a sibling's crash/abandonment);
+            re-dispatch without charging an attempt
+``rejected`` the payload/result cannot cross the process boundary
+            at all; the runner finishes the sweep in-process
+========== =====================================================
 
 Because every cell's seed is a pure function of (root seed, job key),
-*placement is irrelevant to results*: any two backends executing the
-same grid must produce bit-identical :class:`~repro.runner.job.JobResult`
-lists.  ``tests/test_backends.py`` enforces that conformance for every
-registered backend.
+*placement is irrelevant to results*: in-process and pooled execution
+of the same grid produce bit-identical
+:class:`~repro.runner.job.JobResult` lists (``tests/test_backends.py``).
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any
 
-from ...errors import ReproError, SnapshotError, SnapshotUnsupportedError
-from ...sim.snapshot import restore_value, snapshot_value
+from ...errors import ReproError
 from ..faults import trip
-from ..job import Job, run_job, run_prefix
+from ..job import Job, run_job
 
 #: Outcome kinds (see the table in the module docstring).
 OK = "ok"
@@ -65,54 +40,32 @@ LOST = "lost"
 REQUEUED = "requeued"
 REJECTED = "rejected"
 
-OUTCOME_KINDS = (OK, ERROR, LOST, REQUEUED, REJECTED)
-
 
 class BackendUnavailableError(ReproError):
-    """The backend can never execute this sweep (no pool, no reachable
-    workers, unserializable payloads...); the runner falls back to its
-    in-process serial executor."""
+    """The pool can never execute this sweep (no processes, a
+    systemically broken pool); the runner falls back to its in-process
+    loop."""
 
 
 class TransientSubmitError(ReproError):
-    """The backend could not accept a task *right now* (a pool mid-
-    rebuild, every fleet worker busy/just-lost); the runner re-offers
-    the task later without charging an attempt."""
+    """The pool could not accept a task *right now* (mid-rebuild); the
+    runner re-offers the task later without charging an attempt."""
 
 
 @dataclass(frozen=True)
 class CellTask:
     """One dispatched cell attempt: the job, its derived seed, and the
-    (optional, picklable) fault spec that must trip before the body.
-
-    Prefixed jobs additionally carry the prefix's derived seed, its
-    sharing-group digest (identical ``(fn, params, seed)`` ⇒ identical
-    group), an optional pre-restored snapshot blob (how warm contexts
-    cross the process pickle boundary and the TCP wire), and an optional
-    fault spec that trips only when the prefix actually executes freshly
-    on the worker (never on a snapshot restore).
-    """
+    (optional, picklable) fault spec that must trip before the body."""
 
     task_id: int
-    index: int
     job: Job
     seed: int | None
     fault_spec: tuple | None = None
-    prefix_seed: int | None = None
-    prefix_group: str | None = None
-    prefix_blob: bytes | None = None
-    prefix_fault_spec: tuple | None = None
 
 
 @dataclass(frozen=True)
 class TaskOutcome:
-    """One completed/settled task as reported by a backend.
-
-    ``prefix_blob`` is the snapshot a worker produced while executing a
-    prefix stage freshly — the runner persists it to the snapshot cache
-    and attaches it to later tasks of the same group, so each distinct
-    prefix executes at most once per worker (and usually once per sweep).
-    """
+    """One completed/settled task as reported by the pool."""
 
     task_id: int
     kind: str
@@ -120,174 +73,18 @@ class TaskOutcome:
     duration_s: float = 0.0
     error: str | None = None
     error_type: str | None = None
-    prefix_blob: bytes | None = None
 
 
-@dataclass
-class WorkerHealth:
-    """Liveness/throughput of one backend worker (health reporting)."""
-
-    worker_id: str
-    alive: bool = True
-    tasks_done: int = 0
-    tasks_failed: int = 0
-    current_task: int | None = None
-    detail: str = ""
-
-
-#: Opt-out knob for the snapshot/warm-start machinery.  Re-read per call
-#: (like ``REPRO_ACCEL``): ``REPRO_SNAPSHOT=0`` makes every cell compute
-#: its prefix fresh — the cold path warm runs are gated against.
-SNAPSHOT_ENV = "REPRO_SNAPSHOT"
-
-_FALSY = ("0", "off", "false", "no")
-
-
-def snapshots_enabled() -> bool:
-    """Whether prefix snapshots are enabled (``REPRO_SNAPSHOT`` knob)."""
-    return os.environ.get(SNAPSHOT_ENV, "1").strip().lower() not in _FALSY
-
-
-#: Sentinel memo entry: this prefix group is known unsnapshotable on
-#: this worker — every member cell recomputes the prefix fresh (cold).
-_COLD = object()
-
-#: Worker-local memo: prefix group digest -> snapshot blob (or _COLD).
-#: Holds the *blob*, never the live context: cells mutate their context,
-#: so each one must fork a fresh copy via ``restore_value``.  Because a
-#: group digest is a pure function of (prefix fn, params, seed) and
-#: prefixes are deterministic, a stale-entry hazard cannot exist.
-_prefix_memo: dict[str, Any] = {}
-_PREFIX_MEMO_MAX = 8
-
-
-def _reset_prefix_memo() -> None:
-    """Drop the worker-local prefix memo (test isolation hook)."""
-    _prefix_memo.clear()
-
-
-def _memoize_prefix(group: str, entry: Any) -> None:
-    if group not in _prefix_memo and len(_prefix_memo) >= _PREFIX_MEMO_MAX:
-        _prefix_memo.pop(next(iter(_prefix_memo)))
-    _prefix_memo[group] = entry
-
-
-def _prefix_context(task: CellTask, in_worker: bool) -> tuple[Any, bytes | None]:
-    """The warm context for ``task``'s prefix, plus a snapshot blob to
-    report upstream when this call produced a fresh one.
-
-    Resolution order: worker-local memo → the blob the runner attached
-    (cache hit or a sibling worker's snapshot) → fresh execution.  A
-    fresh context is snapshotted so later group members fork from it; an
-    unsnapshotable context poisons the group to cold-per-cell instead of
-    erroring.  Corrupt blobs are detected (checksum) and recomputed.
-    """
-    prefix = task.job.prefix
-    if not snapshots_enabled():
-        return run_prefix(prefix, task.prefix_seed), None
-    group = task.prefix_group
-    if group is not None:
-        memo = _prefix_memo.get(group)
-        if memo is _COLD:
-            return run_prefix(prefix, task.prefix_seed), None
-        if memo is not None:
-            try:
-                return restore_value(memo), None
-            except SnapshotError:
-                _prefix_memo.pop(group, None)  # corrupt memo: recompute below
-        if task.prefix_blob is not None:
-            try:
-                ctx = restore_value(task.prefix_blob)
-            except SnapshotError:
-                pass  # corrupt attached blob: recompute below
-            else:
-                _memoize_prefix(group, task.prefix_blob)
-                return ctx, None
-    if task.prefix_fault_spec is not None:
-        trip(task.prefix_fault_spec, in_worker)
-    ctx = run_prefix(prefix, task.prefix_seed)
-    if group is None:
-        return ctx, None
-    try:
-        blob = snapshot_value(ctx)
-    except SnapshotUnsupportedError:
-        _memoize_prefix(group, _COLD)
-        return ctx, None
-    _memoize_prefix(group, blob)
-    return ctx, blob
-
-
-def run_task(task: CellTask, in_worker: bool) -> tuple[Any, float, bytes | None]:
+def run_task(task: CellTask, in_worker: bool) -> tuple[Any, float]:
     """Execute one cell attempt in the current process.
 
-    Shared by every backend's execution site (serial, pool worker, fleet
-    worker); the fault spec trips *before* the cell body, crashing,
-    raising, hanging, or partitioning as planned.  Returns the cell
-    value, the wall-clock duration, and the prefix snapshot blob when
-    this attempt executed a prefix stage freshly (``None`` otherwise).
+    Shared by the runner's in-process loop and the pool workers; the
+    fault spec trips *before* the cell body, crashing, raising, or
+    hanging as planned.  Returns the cell value and the wall-clock
+    duration.
     """
     t0 = time.perf_counter()
     if task.fault_spec is not None:
         trip(task.fault_spec, in_worker)
-    if task.job.prefix is None:
-        value = run_job(task.job, task.seed)
-        return value, time.perf_counter() - t0, None
-    ctx, blob = _prefix_context(task, in_worker)
-    value = run_job(task.job, task.seed, prefix_value=ctx)
-    return value, time.perf_counter() - t0, blob
-
-
-class ExecutorBackend:
-    """Abstract executor backend (see module docstring for the contract).
-
-    ``name`` identifies the backend in stats/CLI; ``preemptible`` tells
-    the runner whether per-cell wall-clock timeouts are enforceable (an
-    in-process cell cannot be abandoned, a pool/fleet worker can).
-    """
-
-    name: str = "?"
-    preemptible: bool = False
-
-    def start(self) -> None:
-        """Bring the backend up; raise :class:`BackendUnavailableError`
-        if execution can never work here."""
-
-    @property
-    def capacity(self) -> int:
-        """How many tasks may be in flight concurrently (live workers)."""
-        raise NotImplementedError
-
-    def submit(self, task: CellTask) -> None:
-        """Accept one task for execution (see module docstring for the
-        exception contract)."""
-        raise NotImplementedError
-
-    def poll(self, timeout: float | None) -> list[TaskOutcome]:
-        """Completed outcomes, blocking up to ``timeout`` seconds
-        (``None`` = until at least one task settles)."""
-        raise NotImplementedError
-
-    def abandon(self, task_ids: Iterable[int]) -> None:
-        """Give up on stuck in-flight tasks; innocent collateral tasks
-        come back as ``requeued`` outcomes from the next :meth:`poll`."""
-
-    def shutdown(self, cancel: bool = True) -> None:
-        """Release workers/connections; idempotent."""
-
-    def worker_health(self) -> list[WorkerHealth]:
-        """Per-worker liveness and throughput."""
-        return []
-
-    def stats(self) -> dict[str, int]:
-        """Aggregate counters merged into ``SweepRunner.last_stats``."""
-        return {}
-
-
-def normalize_addresses(workers: str | Sequence[str] | None) -> tuple[str, ...]:
-    """Worker addresses from a ``"host:port,host:port"`` string or a
-    sequence of such entries."""
-    if workers is None:
-        return ()
-    if isinstance(workers, str):
-        workers = workers.split(",")
-    return tuple(w.strip() for w in workers if w and w.strip())
+    value = run_job(task.job, task.seed)
+    return value, time.perf_counter() - t0

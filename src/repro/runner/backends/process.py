@@ -1,7 +1,7 @@
-"""Local process-pool backend (the pre-refactor ``SweepRunner`` pool
-mechanics, extracted behind :class:`~.base.ExecutorBackend`).
+"""Local process-pool backend: the pool mechanics the runner's
+dispatcher never touches directly.
 
-Pool lifecycle policy, unchanged from the original dispatcher:
+Pool lifecycle policy:
 
 - workers are created lazily with the ``fork`` start method where
   available (shares the parent's imported modules and ``sys.path`` with
@@ -12,7 +12,8 @@ Pool lifecycle policy, unchanged from the original dispatcher:
   task as ``requeued`` (uncharged), and retires the pool — a fresh one
   is built on the next submit.  A bounded number of rebuilds
   (``max_rebuilds``) guards against a systemically broken pool: beyond
-  it the backend declares itself unavailable and the runner goes serial;
+  it the backend declares itself unavailable and the runner finishes
+  in-process;
 - a payload or result that cannot cross the process boundary
   (``PicklingError`` and the ``AttributeError``/``TypeError`` shapes
   pickle raises) settles as ``rejected``: the pool is useless for this
@@ -40,10 +41,8 @@ from .base import (
     REQUEUED,
     BackendUnavailableError,
     CellTask,
-    ExecutorBackend,
     TaskOutcome,
     TransientSubmitError,
-    WorkerHealth,
     run_task,
 )
 
@@ -65,9 +64,15 @@ def _pool_run(task: CellTask) -> tuple:
     return run_task(task, in_worker=True)
 
 
-class ProcessPoolBackend(ExecutorBackend):
+class ProcessPoolBackend:
+    """A ``ProcessPoolExecutor`` behind a submit/poll/abandon interface:
+    :meth:`submit` hands over one :class:`CellTask` (it may raise
+    :class:`TransientSubmitError` — "re-offer later, uncharged" — or
+    :class:`BackendUnavailableError` — "never"); :meth:`poll` returns
+    settled :class:`TaskOutcome` records; :meth:`abandon` gives up on
+    stuck tasks (the runner's per-cell timeout)."""
+
     name = "process"
-    preemptible = True
 
     def __init__(self, workers: int, max_rebuilds: int = 16) -> None:
         if workers < 1:
@@ -79,8 +84,6 @@ class ProcessPoolBackend(ExecutorBackend):
         self._futures: dict = {}  # Future -> CellTask
         self._ready: deque[TaskOutcome] = deque()
         self._dead = False
-        self._done = 0
-        self._failed = 0
 
     @property
     def capacity(self) -> int:
@@ -131,7 +134,7 @@ class ProcessPoolBackend(ExecutorBackend):
         if self.pool_breaks > self.max_rebuilds:
             self._dead = True
 
-    # -- the backend contract -----------------------------------------------------
+    # -- the runner-facing interface ----------------------------------------------
 
     def start(self) -> None:
         self._ensure_pool()
@@ -150,6 +153,8 @@ class ProcessPoolBackend(ExecutorBackend):
         self._futures[fut] = task
 
     def poll(self, timeout: float | None) -> list[TaskOutcome]:
+        """Settled outcomes, blocking up to ``timeout`` seconds (``None``
+        = until at least one task settles)."""
         if self._ready:
             out = list(self._ready)
             self._ready.clear()
@@ -164,11 +169,10 @@ class ProcessPoolBackend(ExecutorBackend):
         for fut in done:
             task = self._futures.pop(fut)
             try:
-                value, duration, prefix_blob = fut.result()
+                value, duration = fut.result()
             except BrokenProcessPool:
                 # The worker running this cell (or a sibling) died.
                 broken = True
-                self._failed += 1
                 out.append(TaskOutcome(
                     task_id=task.task_id, kind=LOST,
                     error="worker process died (BrokenProcessPool)",
@@ -182,16 +186,14 @@ class ProcessPoolBackend(ExecutorBackend):
                     error=str(exc) or repr(exc), error_type=type(exc).__name__,
                 ))
             except Exception as exc:
-                self._failed += 1
                 out.append(TaskOutcome(
                     task_id=task.task_id, kind=ERROR,
                     error=str(exc) or repr(exc), error_type=type(exc).__name__,
                 ))
             else:
-                self._done += 1
                 out.append(TaskOutcome(
                     task_id=task.task_id, kind=OK, value=value,
-                    duration_s=duration, prefix_blob=prefix_blob,
+                    duration_s=duration,
                 ))
         if broken:
             self._break_pool()
@@ -200,6 +202,8 @@ class ProcessPoolBackend(ExecutorBackend):
         return out
 
     def abandon(self, task_ids: Iterable[int]) -> None:
+        """Give up on stuck in-flight tasks; innocent collateral tasks
+        come back as ``requeued`` outcomes from the next :meth:`poll`."""
         dropped = set(task_ids)
         self._futures = {
             fut: task for fut, task in self._futures.items()
@@ -211,17 +215,7 @@ class ProcessPoolBackend(ExecutorBackend):
         self._retire_pool(cancel=True)
 
     def shutdown(self, cancel: bool = True) -> None:
+        """Release the workers; idempotent."""
         self._futures.clear()
         self._ready.clear()
         self._retire_pool(cancel=cancel)
-
-    def worker_health(self) -> list[WorkerHealth]:
-        return [WorkerHealth(
-            worker_id=f"pool[{self.workers}]",
-            alive=self._pool is not None and not self._dead,
-            tasks_done=self._done, tasks_failed=self._failed,
-            detail=f"pool_breaks={self.pool_breaks}",
-        )]
-
-    def stats(self) -> dict[str, int]:
-        return {"pool_breaks": self.pool_breaks}

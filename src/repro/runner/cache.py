@@ -44,9 +44,6 @@ CHECKSUM_BYTES = 16
 #: Subdirectory (inside the cache dir) holding quarantined corrupt entries.
 QUARANTINE_DIR = "quarantine"
 
-#: Subdirectory holding prefix snapshot blobs (warm-start contexts).
-SNAPSHOT_DIR = "snapshots"
-
 
 def _hash_tree(root: Path) -> str:
     digest = hashlib.sha256()
@@ -173,44 +170,17 @@ class ResultCache:
         self.stores = 0
         self.corrupt = 0
         self.quarantined = 0
-        self.snapshot_hits = 0
-        self.snapshot_misses = 0
-        self.snapshot_stores = 0
 
     def key_for(
         self, fn_spec: str, params: tuple, seed: int | None,
-        fingerprint: str = "", prefix: Any = None,
-    ) -> str:
-        """The result-entry key for one cell.
-
-        ``prefix`` (a :class:`~repro.runner.job.Prefix`, when the job
-        has one) participates so the same cell forked from different
-        prefixes never aliases; prefix-less jobs keep their historical
-        keys.
-        """
-        if prefix is None:
-            return stable_digest("cell", fn_spec, params, seed, fingerprint)
-        return stable_digest("cell", fn_spec, params, seed, fingerprint, prefix)
-
-    def snapshot_key_for(
-        self, fn_spec: str, params: tuple, seed: int | None,
         fingerprint: str = "",
     ) -> str:
-        """The snapshot-entry key for one prefix stage (same code-
-        fingerprint discipline as results: editing the prefix's module
-        or the ``repro`` sources invalidates its cached snapshots)."""
-        return stable_digest("snapshot", fn_spec, params, seed, fingerprint)
+        """The result-entry key for one cell."""
+        return stable_digest("cell", fn_spec, params, seed, fingerprint)
 
     def path_for(self, key: str) -> Path:
         """The on-disk path of ``key``'s entry (it may not exist)."""
         return self.directory / f"{key}.pkl"
-
-    def snapshot_path_for(self, key: str) -> Path:
-        """The on-disk path of ``key``'s snapshot entry (may not exist)."""
-        return self.directory / SNAPSHOT_DIR / f"{key}.pkl"
-
-    # Backwards-compatible private alias.
-    _path = path_for
 
     def get(self, key: str) -> Any:
         """The cached value for ``key``, or :data:`MISS`.
@@ -234,21 +204,27 @@ class ResultCache:
         self.hits += 1
         return value
 
-    def _write_entry(self, target: Path, value: Any) -> None:
-        """Atomically persist one encoded entry at ``target``."""
+    def put(self, key: str, value: Any) -> bool:
+        """Atomically persist ``value`` under ``key``; returns False if
+        the value cannot be pickled (the cell simply recomputes next run,
+        exactly like an unjournallable value on resume)."""
+        try:
+            entry = encode_entry(value)
+        except Exception:
+            return False
         self.directory.mkdir(parents=True, exist_ok=True)
         # Self-ignoring directory, pytest-cache style: cached cells are
         # derived data and must never be committed.
         marker = self.directory / ".gitignore"
         if not marker.exists():
             marker.write_text("*\n")
-        target.parent.mkdir(parents=True, exist_ok=True)
+        target = self.path_for(key)
         fd, tmp_name = tempfile.mkstemp(
             dir=target.parent, prefix=f".{target.stem[:16]}-", suffix=".tmp"
         )
         try:
             with os.fdopen(fd, "wb") as fh:
-                fh.write(encode_entry(value))
+                fh.write(entry)
             os.replace(tmp_name, target)
         except BaseException:
             try:
@@ -256,42 +232,8 @@ class ResultCache:
             except OSError:
                 pass
             raise
-
-    def put(self, key: str, value: Any) -> None:
-        """Atomically persist ``value`` under ``key``."""
-        self._write_entry(self.path_for(key), value)
         self.stores += 1
-
-    def get_snapshot(self, key: str) -> Any:
-        """The cached snapshot blob (``bytes``) for ``key``, or
-        :data:`MISS`.  Corrupt entries quarantine exactly like results
-        (the blob carries its own inner checksum too — this outer check
-        guards the cache file, the inner one guards the wire/memo)."""
-        path = self.snapshot_path_for(key)
-        try:
-            blob = path.read_bytes()
-        except OSError:
-            self.snapshot_misses += 1
-            return self.MISS
-        try:
-            value = decode_entry(blob)
-        except CacheCorruptionError:
-            self.corrupt += 1
-            self.snapshot_misses += 1
-            self._quarantine(path)
-            return self.MISS
-        if not isinstance(value, bytes):
-            self.corrupt += 1
-            self.snapshot_misses += 1
-            self._quarantine(path)
-            return self.MISS
-        self.snapshot_hits += 1
-        return value
-
-    def put_snapshot(self, key: str, blob: bytes) -> None:
-        """Atomically persist a prefix snapshot blob under ``key``."""
-        self._write_entry(self.snapshot_path_for(key), blob)
-        self.snapshot_stores += 1
+        return True
 
     def _quarantine(self, path: Path) -> None:
         """Move a corrupt entry out of the lookup path (delete as a last
@@ -311,53 +253,35 @@ class ResultCache:
             pass
 
     def verify(self, repair: bool = True) -> dict[str, Any]:
-        """Scrub every entry — results *and* prefix snapshots;
-        quarantine (with ``repair``) the corrupt ones.
+        """Scrub every entry; quarantine (with ``repair``) the corrupt ones.
 
-        Returns a report: ``checked``/``ok`` counts (results +
-        snapshots, with snapshot-only counts broken out), the corrupt
-        entry keys (snapshot entries prefixed ``snapshots/``), and how
-        many were quarantined.  A nonzero ``corrupt`` list is the CI
-        gate's failure condition for both entry kinds.
+        Returns a report: ``checked``/``ok`` counts, the corrupt entry
+        keys, and how many were quarantined.  A nonzero ``corrupt`` list
+        is the CI gate's failure condition.
         """
         report: dict[str, Any] = {
             "directory": str(self.directory),
             "checked": 0, "ok": 0, "corrupt": [], "quarantined": 0,
-            "snapshots_checked": 0, "snapshots_ok": 0,
         }
         if not self.directory.is_dir():
             return report
-
-        def scrub(path: Path, label: str, snapshot: bool) -> None:
+        for path in sorted(self.directory.glob("*.pkl")):
             report["checked"] += 1
-            if snapshot:
-                report["snapshots_checked"] += 1
             try:
-                value = decode_entry(path.read_bytes())
-                if snapshot and not isinstance(value, bytes):
-                    raise CacheCorruptionError("snapshot entry is not a blob")
+                decode_entry(path.read_bytes())
             except (CacheCorruptionError, OSError):
-                report["corrupt"].append(label)
+                report["corrupt"].append(path.stem)
                 if repair:
                     before = self.quarantined
                     self._quarantine(path)
                     report["quarantined"] += self.quarantined - before
             else:
                 report["ok"] += 1
-                if snapshot:
-                    report["snapshots_ok"] += 1
-
-        for path in sorted(self.directory.glob("*.pkl")):
-            scrub(path, path.stem, snapshot=False)
-        snapdir = self.directory / SNAPSHOT_DIR
-        if snapdir.is_dir():
-            for path in sorted(snapdir.glob("*.pkl")):
-                scrub(path, f"{SNAPSHOT_DIR}/{path.stem}", snapshot=True)
         return report
 
     def clear(self) -> int:
-        """Delete every entry (including quarantined ones and prefix
-        snapshots); returns the number of live entries removed."""
+        """Delete every entry (including quarantined ones); returns the
+        number of live entries removed."""
         removed = 0
         if self.directory.is_dir():
             for path in self.directory.glob("*.pkl"):
@@ -366,16 +290,11 @@ class ResultCache:
                     removed += 1
                 except OSError:
                     pass
-            for sub in (QUARANTINE_DIR, SNAPSHOT_DIR):
-                subdir = self.directory / sub
-                if not subdir.is_dir():
-                    continue
-                live = sub == SNAPSHOT_DIR  # quarantined entries don't count
-                for path in subdir.glob("*.pkl"):
+            quarantine = self.directory / QUARANTINE_DIR
+            if quarantine.is_dir():
+                for path in quarantine.glob("*.pkl"):
                     try:
                         path.unlink()
                     except OSError:
-                        continue
-                    if live:
-                        removed += 1
+                        pass
         return removed

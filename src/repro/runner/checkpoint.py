@@ -1,4 +1,4 @@
-"""Append-only sweep checkpoint journal (checkpoint/resume/cooperate).
+"""Append-only sweep checkpoint journal (checkpoint/resume).
 
 A :class:`SweepJournal` records every *successfully* completed cell of a
 sweep as one JSON line (key, seed, attempts, pickled value) appended
@@ -9,31 +9,12 @@ digest of the root seed, the cell keys, and the code fingerprint): a
 journal written by a *different* sweep — or by different code — is
 ignored and replaced rather than replayed.
 
-Concurrent-append safety: the journal is opened with ``O_APPEND`` and
-every record is emitted as **one** ``os.write`` of a single complete
-``\\n``-terminated line.  POSIX guarantees that an ``O_APPEND`` write
-lands atomically at the current end of file, so any number of writer
-processes sharing one journal never interleave *partial* lines — records
-from different writers simply alternate, whole line by whole line.  A
-torn final line can therefore only come from a writer that died mid-
-``write``; it is detected at load time and discarded, and every earlier
-line is intact.  This is what makes the journal a safe coordination
-substrate for multi-runner sweeps, not just a private checkpoint.
-
-Cooperative sweeps add two record kinds on top of ``done``:
-
-- ``lease`` records (``claim``/``renew``/``release``) carry a runner id,
-  a cell key, and an absolute ``time.monotonic`` expiry.  Replaying them
-  in file order yields a :class:`LeaseTable`; *file order is the
-  arbiter* — when two runners race to claim one cell, the claim that
-  reached the file first (while unexpired) holds the lease, and both
-  runners agree because both replay the same append-only sequence.
-- duplicate ``done`` records for one key resolve **first-wins**: the
-  first durable record is authoritative; later ones are verified
-  bit-identical (payload digest) and dropped (``duplicate_records``), or
-  counted and warned about if they conflict (``conflicting_records``).
-  Leases are advisory work-spreading; this rule is what makes
-  double-completion safe.
+Crash safety: the journal is opened with ``O_APPEND`` and every record
+is emitted as **one** ``os.write`` of a single complete
+``\\n``-terminated line, so records never interleave partially even if
+several processes append to one file.  A torn final line can therefore
+only come from a writer that died mid-``write``; it is detected at load
+time and discarded, and every earlier line is intact.
 
 The runner deletes the journal once a sweep completes with zero
 failures; while failures remain, the journal is kept so the next run
@@ -46,7 +27,6 @@ import base64
 import json
 import os
 import pickle
-import time
 import warnings
 from pathlib import Path
 from typing import Iterable
@@ -56,10 +36,7 @@ from .seeding import stable_digest
 
 _HEADER_KIND = "sweep-journal"
 _DONE_KIND = "done"
-_LEASE_KIND = "lease"
 _VERSION = 1
-
-_LEASE_OPS = ("claim", "renew", "release")
 
 
 def sweep_id(root_seed: int, keys: Iterable[str], fingerprint: str = "") -> str:
@@ -67,116 +44,14 @@ def sweep_id(root_seed: int, keys: Iterable[str], fingerprint: str = "") -> str:
     return stable_digest("sweep", root_seed, tuple(keys), fingerprint)
 
 
-class LeaseTable:
-    """Current lease state, folded from journal records in file order.
-
-    ``holder(key)`` answers *who may work on this cell right now* — the
-    runner named by the earliest claim that is still unexpired (renews
-    extend it, releases clear it).  A claim over an expired foreign
-    lease succeeds and remembers the evicted runner, so
-    ``stale_holder(key)`` lets a claimant tell a reclaim (another
-    runner's lease lapsed) from a first claim.
-
-    Expiry times are absolute ``time.monotonic`` values; on Linux
-    ``CLOCK_MONOTONIC`` is system-wide, so they compare meaningfully
-    across cooperating runner processes on one machine.
-    """
-
-    def __init__(self) -> None:
-        self._leases: dict[str, tuple[str, float]] = {}
-        self._evicted: dict[str, str] = {}
-
-    def apply(self, record: dict, now: float) -> None:
-        """Fold one ``lease`` journal record into the table."""
-        op = record.get("op")
-        key = record.get("key")
-        runner = record.get("runner")
-        if op not in _LEASE_OPS or not isinstance(key, str) \
-                or not isinstance(runner, str):
-            return
-        current = self._leases.get(key)
-        if op == "claim":
-            try:
-                expires = float(record.get("expires", 0.0))
-            except (TypeError, ValueError):
-                return
-            if current is None or current[0] == runner:
-                self._leases[key] = (runner, expires)
-            elif current[1] <= now:
-                # Expired foreign lease: the claim evicts it (a reclaim).
-                self._evicted[key] = current[0]
-                self._leases[key] = (runner, expires)
-            # else: an unexpired foreign lease holds; file order wins.
-        elif op == "renew":
-            try:
-                expires = float(record.get("expires", 0.0))
-            except (TypeError, ValueError):
-                return
-            if current is not None and current[0] == runner:
-                self._leases[key] = (runner, max(current[1], expires))
-        elif op == "release":
-            if current is not None and current[0] == runner:
-                self._evicted.pop(key, None)
-                del self._leases[key]
-
-    def holder(self, key: str, now: float | None = None) -> str | None:
-        """The runner holding an *unexpired* lease on ``key``, or None."""
-        current = self._leases.get(key)
-        if current is None:
-            return None
-        if now is None:
-            now = time.monotonic()
-        return current[0] if current[1] > now else None
-
-    def stale_holder(self, key: str, now: float | None = None) -> str | None:
-        """The runner whose lapsed lease on ``key`` was (or would be)
-        evicted — the reclaim-detection counterpart of :meth:`holder`."""
-        evicted = self._evicted.get(key)
-        if evicted is not None:
-            return evicted
-        current = self._leases.get(key)
-        if current is None:
-            return None
-        if now is None:
-            now = time.monotonic()
-        return current[0] if current[1] <= now else None
-
-    def held_by(self, runner: str, now: float | None = None) -> list[str]:
-        """Keys currently leased (unexpired) by ``runner``, sorted."""
-        if now is None:
-            now = time.monotonic()
-        return sorted(
-            key for key, (holder, expires) in sorted(self._leases.items())
-            if holder == runner and expires > now
-        )
-
-
 class SweepJournal:
-    """One on-disk checkpoint manifest for one sweep.
-
-    Any number of writer processes may share one journal: appends are
-    single ``O_APPEND`` writes of complete lines (see module docstring),
-    reads replay the shared file.  :meth:`poll_updates` follows the file
-    incrementally, so cooperating runners see each other's ``done`` and
-    ``lease`` records without re-reading from the top.
-    """
+    """One on-disk checkpoint manifest for one sweep."""
 
     def __init__(self, path: str | os.PathLike) -> None:
         self.path = Path(path)
         self._fd: int | None = None
-        self._active_id: str | None = None
-        #: Undecodable records skipped by the most recent replay.
+        #: Undecodable records skipped by the most recent :meth:`load`.
         self.skipped_records = 0
-        #: Duplicate ``done`` records dropped after bit-identical verification.
-        self.duplicate_records = 0
-        #: Duplicate ``done`` records whose payload digest *disagreed*.
-        self.conflicting_records = 0
-        #: Lease state folded from the records replayed so far.
-        self.leases = LeaseTable()
-        self._done_digest: dict[str, str] = {}
-        self._follow_offset = 0
-        self._follow_header_seen = False
-        self._follow_dead = False
 
     # -- reading -----------------------------------------------------------------
 
@@ -185,122 +60,43 @@ class SweepJournal:
 
         Returns ``{}`` when the journal is missing, unreadable, or
         belongs to a different sweep (stale journals are replaced on the
-        next :meth:`record`, not replayed).  Lines are independent JSON
+        next :meth:`open_for`, not replayed).  Lines are independent JSON
         records, so a torn or undecodable line is skipped without
-        affecting the entries around it.  Resets and primes the follow
-        cursor, so a later :meth:`poll_updates` continues incrementally
-        from here.
+        affecting the entries around it.
         """
-        self._reset_follow()
-        done = self._replay_new(expected_id)
-        return {} if self._follow_dead else done
-
-    def poll_updates(self, expected_id: str) -> dict[str, JobResult]:
-        """Newly appended ``done`` records since the last replay.
-
-        Follows the file from the cursor left by :meth:`load` / the
-        previous poll: only complete (``\\n``-terminated) lines are
-        consumed, a partial tail is left for the next poll, and ``lease``
-        records are folded into :attr:`leases` along the way.  Returns
-        only cells not seen before (first-wins).  If the file was
-        truncated or rewritten under a foreign header, the follower goes
-        dead and returns ``{}`` forever (a fresh :meth:`load` revives it).
-        """
-        if self._follow_dead:
-            return {}
-        return self._replay_new(expected_id)
-
-    def _reset_follow(self) -> None:
         self.skipped_records = 0
-        self.duplicate_records = 0
-        self.conflicting_records = 0
-        self.leases = LeaseTable()
-        self._done_digest = {}
-        self._follow_offset = 0
-        self._follow_header_seen = False
-        self._follow_dead = False
-
-    def _replay_new(self, expected_id: str) -> dict[str, JobResult]:
         try:
-            with open(self.path, "rb") as fh:
-                fh.seek(0, os.SEEK_END)
-                size = fh.tell()
-                if size < self._follow_offset:
-                    # Truncated/rewritten behind our back: a foreign
-                    # sweep took the file over.
-                    self._follow_dead = True
-                    return {}
-                fh.seek(self._follow_offset)
-                data = fh.read(size - self._follow_offset)
+            data = self.path.read_bytes()
         except OSError:
-            if self._follow_header_seen:
-                # The journal vanished mid-follow (peer completed the
-                # sweep and unlinked it) — nothing new, not an error.
-                return {}
-            self._follow_dead = True
             return {}
-        end = data.rfind(b"\n")
-        if end < 0:
+        lines = data.split(b"\n")
+        try:
+            header = json.loads(lines[0])
+        except ValueError:
             return {}
-        chunk = data[: end + 1]
-        self._follow_offset += end + 1
-        now = time.monotonic()
-        fresh: dict[str, JobResult] = {}
-        for raw in chunk.split(b"\n"):
+        if (not isinstance(header, dict)
+                or header.get("kind") != _HEADER_KIND
+                or header.get("sweep_id") != expected_id
+                or header.get("version") != _VERSION):
+            return {}
+        done: dict[str, JobResult] = {}
+        for raw in lines[1:]:
             if not raw:
                 continue
             try:
                 record = json.loads(raw)
             except ValueError:
-                continue
-            if not isinstance(record, dict):
-                continue
-            kind = record.get("kind", _DONE_KIND)
-            if not self._follow_header_seen:
-                if (kind != _HEADER_KIND
-                        or record.get("sweep_id") != expected_id
-                        or record.get("version") != _VERSION):
-                    self._follow_dead = True
-                    return {}
-                self._follow_header_seen = True
-                continue
-            if kind == _HEADER_KIND:
-                # A header mid-file: ours (harmless re-open) or foreign
-                # (another sweep truncated and took over — stop trusting
-                # anything after it).
-                if (record.get("sweep_id") == expected_id
-                        and record.get("version") == _VERSION):
-                    continue
-                self._follow_dead = True
-                return fresh
-            if kind == _LEASE_KIND:
-                self.leases.apply(record, now)
-                continue
-            if kind != _DONE_KIND:
-                continue  # unknown record kind: forward compatibility
-            self._ingest_done(record, fresh)
-        return fresh
+                continue  # torn tail from a writer that died mid-line
+            if (isinstance(record, dict)
+                    and record.get("kind", _DONE_KIND) == _DONE_KIND):
+                self._ingest_done(record, done)
+        return done
 
-    def _ingest_done(self, record: dict, fresh: dict[str, JobResult]) -> None:
+    def _ingest_done(self, record: dict, done: dict[str, JobResult]) -> None:
         key = record.get("key")
         payload = record.get("value")
         if not isinstance(key, str) or not isinstance(payload, str):
             self.skipped_records += 1
-            return
-        digest = stable_digest("journal-done", payload, record.get("seed"))
-        seen = self._done_digest.get(key)
-        if seen is not None:
-            # First durable done record wins; later duplicates are
-            # verified bit-identical and dropped.
-            if digest == seen:
-                self.duplicate_records += 1
-            else:
-                self.conflicting_records += 1
-                warnings.warn(
-                    f"conflicting duplicate journal record for cell {key!r} "
-                    f"in {self.path}: keeping the first durable result",
-                    RuntimeWarning, stacklevel=3,
-                )
             return
         try:
             value = pickle.loads(base64.b64decode(payload))
@@ -316,8 +112,7 @@ class SweepJournal:
                 RuntimeWarning, stacklevel=3,
             )
             return
-        self._done_digest[key] = digest
-        fresh[key] = JobResult(
+        done[key] = JobResult(
             key=key, value=value, seed=record.get("seed"),
             attempts=int(record.get("attempts", 1)), resumed=True,
         )
@@ -335,17 +130,8 @@ class SweepJournal:
         flags = os.O_WRONLY | os.O_CREAT | os.O_APPEND
         if not keep:
             flags |= os.O_TRUNC
-            self._reset_follow()
-        elif self._follow_dead:
-            # The follower died on an earlier load() — typically because
-            # a peer won the race to create the journal between that
-            # load and now, so there was nothing to read yet.  The
-            # header matches *this* sweep, so restart the follower from
-            # the top: peer records must not stay invisible.
-            self._reset_follow()
         self.close()
         self._fd = os.open(self.path, flags, 0o644)
-        self._active_id = journal_id
         if keep:
             # Neutralise a torn final line so the next record starts on
             # a fresh line instead of merging into the partial one.  The
@@ -366,16 +152,17 @@ class SweepJournal:
             record = json.loads(first)
         except (OSError, ValueError):
             return False
-        return (record.get("kind") == _HEADER_KIND
+        return (isinstance(record, dict)
+                and record.get("kind") == _HEADER_KIND
                 and record.get("sweep_id") == journal_id)
 
     def _append(self, record: dict) -> None:
         """Emit one record as a single ``write`` of one complete line.
 
         ``O_APPEND`` + one ``os.write`` per line is the entire
-        concurrent-writer story: the kernel appends the whole line
-        atomically, so parallel writers interleave at line granularity
-        only.  (Splitting this into multiple writes would reintroduce
+        crash-safety story: the kernel appends the whole line
+        atomically, so writers interleave at line granularity only.
+        (Splitting this into multiple writes would reintroduce
         torn-line interleaving — don't.)
         """
         if self._fd is None:
@@ -398,35 +185,6 @@ class SweepJournal:
                       "seed": result.seed, "attempts": result.attempts,
                       "value": payload})
         return True
-
-    # -- leases ------------------------------------------------------------------
-
-    def claim(self, runner_id: str, keys: Iterable[str], ttl_s: float) -> float:
-        """Append ``claim`` records for ``keys`` expiring ``ttl_s`` from
-        now (monotonic).  Appending does not *grant* the lease — replay
-        the journal afterwards and check :attr:`leases` to learn who won
-        (file order is the arbiter)."""
-        expires = time.monotonic() + ttl_s
-        for key in keys:
-            self._append({"kind": _LEASE_KIND, "op": "claim",
-                          "runner": runner_id, "key": key,
-                          "expires": expires})
-        return expires
-
-    def renew(self, runner_id: str, keys: Iterable[str], ttl_s: float) -> float:
-        """Extend ``runner_id``'s leases on ``keys`` by ``ttl_s`` from now."""
-        expires = time.monotonic() + ttl_s
-        for key in keys:
-            self._append({"kind": _LEASE_KIND, "op": "renew",
-                          "runner": runner_id, "key": key,
-                          "expires": expires})
-        return expires
-
-    def release(self, runner_id: str, keys: Iterable[str]) -> None:
-        """Relinquish ``runner_id``'s leases on ``keys``."""
-        for key in keys:
-            self._append({"kind": _LEASE_KIND, "op": "release",
-                          "runner": runner_id, "key": key})
 
     # -- lifecycle ---------------------------------------------------------------
 

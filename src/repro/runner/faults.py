@@ -18,18 +18,6 @@ Fault kinds:
   parent;
 - ``"hang"`` — the cell sleeps ``hang_s`` wall-clock seconds before
   failing, tripping the runner's per-cell timeout;
-- ``"partition"`` — a simulated *network* partition: on a TCP fleet
-  worker the connection to the runner is severed while the worker
-  process stays alive and serving (the runner sees a lost worker and
-  retries the cell elsewhere); executed in-process or on a pool worker
-  — where there is no network to cut — it raises
-  :class:`InjectedPartitionError` like an ordinary cell failure;
-- ``"freeze"`` — a simulated *hung-but-connected* worker: a TCP fleet
-  worker goes mute — the connection stays open but nothing (not even a
-  heartbeat ``pong``) is ever sent again — exactly the signature of a
-  stopped/deadlocked process, detectable only by the runner's missed
-  heartbeats; executed in-process or on a pool worker it raises
-  :class:`InjectedFreezeError` like an ordinary cell failure;
 - ``"corrupt"`` — the cell itself succeeds, but its freshly written
   :class:`~.cache.ResultCache` entry is overwritten with garbage,
   exercising the checksum/quarantine path on the next run.
@@ -52,7 +40,7 @@ from ..errors import ReproError
 #: Exit code used by injected worker crashes (visible in pool diagnostics).
 CRASH_EXIT_CODE = 86
 
-FAULT_KINDS = ("error", "crash", "hang", "partition", "freeze", "corrupt")
+FAULT_KINDS = ("error", "crash", "hang", "corrupt")
 
 
 class InjectedFaultError(ReproError):
@@ -64,20 +52,6 @@ class InjectedCrashError(InjectedFaultError):
     ``os._exit`` when a crash fault fires outside a pool worker."""
 
 
-class InjectedPartitionError(InjectedFaultError):
-    """A simulated network partition.  A TCP fleet worker catches this
-    and severs its connection without replying (process stays alive);
-    everywhere else it surfaces as an ordinary injected cell failure."""
-
-
-class InjectedFreezeError(InjectedFaultError):
-    """A simulated hung-but-connected worker.  A TCP fleet worker
-    intercepts the spec before execution and goes mute (the connection
-    stays open, heartbeats go unanswered — the runner must detect it via
-    missed ``pong``\\ s, not a socket error); everywhere else it surfaces
-    as an ordinary injected cell failure."""
-
-
 @dataclass(frozen=True)
 class Fault:
     """One planned failure.
@@ -87,17 +61,12 @@ class Fault:
     attempt numbers (1-based) on which the fault fires; ``None`` means
     *every* attempt — a permanent failure that must end up in the
     failure manifest.  ``hang_s`` only applies to ``"hang"`` faults.
-    ``stage="prefix"`` aims the fault at the cell's shared prefix stage
-    instead of the cell body: it trips only when the worker actually
-    executes the prefix freshly (never on a snapshot restore), so it
-    exercises the warm-start machinery's retry/fallback paths.
     """
 
     kind: str
     cell: int | str
     attempts: tuple[int, ...] | None = (1,)
     hang_s: float = 30.0
-    stage: str = "cell"
 
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
@@ -106,8 +75,6 @@ class Fault:
             raise ValueError("attempts must be a non-empty tuple or None (= always)")
         if self.hang_s <= 0:
             raise ValueError(f"hang_s must be positive, got {self.hang_s}")
-        if self.stage not in ("cell", "prefix"):
-            raise ValueError(f"stage must be 'cell' or 'prefix', got {self.stage!r}")
 
     def fires_on(self, attempt: int) -> bool:
         return self.attempts is None or attempt in self.attempts
@@ -131,7 +98,6 @@ class FaultPlan:
         crashes: int = 1,
         errors: int = 1,
         hangs: int = 0,
-        partitions: int = 0,
         corruptions: int = 0,
         attempts: tuple[int, ...] | None = (1,),
         hang_s: float = 30.0,
@@ -142,7 +108,7 @@ class FaultPlan:
         via ``random.Random(seed)``, so the same (seed, shape) always
         injects into the same cell indices — in CI, in tests, anywhere.
         """
-        wanted = crashes + errors + hangs + partitions + corruptions
+        wanted = crashes + errors + hangs + corruptions
         if wanted > n_cells:
             raise ValueError(
                 f"cannot place {wanted} faults in a {n_cells}-cell sweep"
@@ -151,8 +117,7 @@ class FaultPlan:
         targets = rng.sample(range(n_cells), wanted)
         faults: list[Fault] = []
         for kind, count in (("crash", crashes), ("error", errors),
-                            ("hang", hangs), ("partition", partitions),
-                            ("corrupt", corruptions)):
+                            ("hang", hangs), ("corrupt", corruptions)):
             for _ in range(count):
                 faults.append(Fault(kind=kind, cell=targets.pop(0),
                                     attempts=attempts, hang_s=hang_s))
@@ -193,25 +158,7 @@ class FaultInjector:
         self, index: int, key: str, attempt: int
     ) -> tuple | None:
         for fault in self.plan.faults_for(index, key):
-            if (fault.stage != "cell" or fault.kind == "corrupt"
-                    or not fault.fires_on(attempt)):
-                continue
-            self.tripped.append((key, fault.kind, attempt))
-            if fault.kind == "hang":
-                return ("hang", fault.hang_s)
-            return (fault.kind, key, attempt)
-        return None
-
-    def prefix_spec_for(
-        self, index: int, key: str, attempt: int
-    ) -> tuple | None:
-        """Like :meth:`spec_for`, for ``stage="prefix"`` faults.  The
-        spec rides as the task's ``prefix_fault_spec`` and only actually
-        trips when the prefix executes freshly on the worker (a snapshot
-        restore bypasses it — restoring cannot crash the warmup)."""
-        for fault in self.plan.faults_for(index, key):
-            if (fault.stage != "prefix" or fault.kind == "corrupt"
-                    or not fault.fires_on(attempt)):
+            if fault.kind == "corrupt" or not fault.fires_on(attempt):
                 continue
             self.tripped.append((key, fault.kind, attempt))
             if fault.kind == "hang":
@@ -264,17 +211,6 @@ def trip(spec: tuple, in_worker: bool) -> None:
     if kind == "hang":
         time.sleep(spec[1])
         raise InjectedFaultError(f"injected hang elapsed after {spec[1]}s")
-    if kind == "partition":
-        raise InjectedPartitionError(
-            f"injected network partition (cell {spec[1]!r}, attempt {spec[2]})"
-        )
-    if kind == "freeze":
-        # A fleet worker never gets here: its connection handler
-        # intercepts the spec and goes mute instead (see worker.py).
-        raise InjectedFreezeError(
-            f"injected worker freeze (cell {spec[1]!r}, attempt {spec[2]}, "
-            "in-process)"
-        )
     raise ValueError(f"unknown fault spec {spec!r}")
 
 

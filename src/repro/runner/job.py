@@ -4,7 +4,7 @@ A :class:`Job` names one independent, seeded experiment cell: a callable
 (referenced directly or as a ``"module:qualname"`` spec so it can cross
 process boundaries), its keyword parameters, and an optional explicit
 seed.  Jobs are plain data — picklable, hashable, and with a stable
-identity — which is what lets the runner chunk them across a process
+identity — which is what lets the runner fan them out over a process
 pool, key an on-disk cache on them, and still aggregate results in input
 order.
 """
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from typing import Any, Callable
 
 from .seeding import canonical_repr, stable_digest
 
@@ -51,59 +51,6 @@ def resolve_callable(spec: str) -> Callable:
 
 
 @dataclass(frozen=True)
-class Prefix:
-    """A shared warmup stage cells can fork from.
-
-    Same ``module:qualname`` discipline as cells: the callable builds
-    the warm context (typically a :class:`~repro.sim.Machine` plus
-    workload, run to the divergence point) and returns it.  The runner
-    groups cells by identical ``(fn, params, derived seed)``, executes
-    each distinct prefix once per worker, snapshots the returned context
-    (:mod:`repro.sim.snapshot`), and hands every member cell a fresh
-    restored copy as the ``prefix`` keyword argument.  A context that
-    cannot be snapshotted (non-canonical policy state, unpicklable
-    graph) silently degrades to cold per-cell execution.
-
-    ``seed=None`` derives the prefix seed from the runner's root seed
-    and ``key``, so the same prefix under the same root seed is shared
-    across every cell — and across sweeps, via the snapshot cache.
-    """
-
-    fn: str
-    params: tuple[tuple[str, Any], ...] = ()
-    key: str = ""
-    seed: int | None = None
-    pass_seed: bool = True
-
-    def __post_init__(self) -> None:
-        if not self.key:
-            digest = stable_digest("prefix", self.fn, self.params)[:12]
-            object.__setattr__(self, "key", f"{self.fn}#{digest}")
-
-    @classmethod
-    def of(
-        cls,
-        fn: Callable | str,
-        key: str = "",
-        seed: int | None = None,
-        pass_seed: bool = True,
-        **params: Any,
-    ) -> "Prefix":
-        """Build a prefix stage from a callable and keyword parameters."""
-        items = tuple(sorted(params.items()))
-        for name, value in items:
-            canonical_repr(value)  # fail fast on non-canonical params
-        return cls(
-            fn=callable_spec(fn), params=items, key=key, seed=seed,
-            pass_seed=pass_seed,
-        )
-
-    @property
-    def kwargs(self) -> dict[str, Any]:
-        return dict(self.params)
-
-
-@dataclass(frozen=True)
 class Job:
     """One sweep cell: ``fn(**params, seed=seed)``.
 
@@ -111,10 +58,6 @@ class Job:
     derived seed); when omitted it is built from the callable spec and
     params.  ``seed=None`` means "derive from the runner's root seed";
     ``pass_seed=False`` is for cells that are deterministic without one.
-    A job with a :class:`Prefix` additionally receives the warm context
-    as ``fn(**params, prefix=ctx, seed=seed)``; the prefix identity is
-    part of the job's auto-generated key (and of its result-cache key),
-    so the same cell forked from different prefixes never aliases.
     """
 
     fn: str
@@ -122,14 +65,10 @@ class Job:
     key: str = ""
     seed: int | None = None
     pass_seed: bool = True
-    prefix: Prefix | None = None
 
     def __post_init__(self) -> None:
         if not self.key:
-            if self.prefix is not None:
-                digest = stable_digest("job", self.fn, self.params, self.prefix)[:12]
-            else:
-                digest = stable_digest("job", self.fn, self.params)[:12]
+            digest = stable_digest("job", self.fn, self.params)[:12]
             object.__setattr__(self, "key", f"{self.fn}#{digest}")
 
     @classmethod
@@ -139,7 +78,6 @@ class Job:
         key: str = "",
         seed: int | None = None,
         pass_seed: bool = True,
-        prefix: Prefix | None = None,
         **params: Any,
     ) -> "Job":
         """Build a job from a callable and keyword parameters."""
@@ -148,7 +86,7 @@ class Job:
             canonical_repr(value)  # fail fast on non-canonical params
         return cls(
             fn=callable_spec(fn), params=items, key=key, seed=seed,
-            pass_seed=pass_seed, prefix=prefix,
+            pass_seed=pass_seed,
         )
 
     @property
@@ -185,40 +123,14 @@ class JobResult:
     resumed: bool = field(default=False, compare=False)
 
 
-#: Sentinel: "no prefix context supplied — compute it fresh".
-_FRESH = object()
-
-
-def run_prefix(prefix: Prefix, seed: int | None) -> Any:
-    """Execute one prefix stage in the current process."""
-    fn = resolve_callable(prefix.fn)
-    kwargs = prefix.kwargs
-    if prefix.pass_seed:
-        kwargs["seed"] = seed
-    return fn(**kwargs)
-
-
-def run_job(
-    job: Job,
-    seed: int | None,
-    prefix_value: Any = _FRESH,
-    prefix_seed: int | None = None,
-) -> Any:
+def run_job(job: Job, seed: int | None) -> Any:
     """Execute one job in the current process (worker and serial path).
 
-    For a prefixed job, ``prefix_value`` is the warm context to fork
-    from (supplied by the backend's snapshot machinery); when absent the
-    prefix is computed fresh — the cold path, and the semantic baseline
-    every warm-started run must match bit-for-bit.
+    The callable is looked up by its ``module:qualname`` spec at
+    execution time and called with keyword arguments only.
     """
     fn = resolve_callable(job.fn)
     kwargs = job.kwargs
     if job.pass_seed:
         kwargs["seed"] = seed
-    if job.prefix is not None:
-        if prefix_value is _FRESH:
-            if prefix_seed is None:
-                prefix_seed = job.prefix.seed
-            prefix_value = run_prefix(job.prefix, prefix_seed)
-        kwargs["prefix"] = prefix_value
     return fn(**kwargs)

@@ -18,13 +18,15 @@ fails (raises, times out, or takes its worker process down):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..errors import ConfigError
 from .seeding import stable_hash
 
 #: Granularity of the deterministic backoff jitter fraction.
 _JITTER_BUCKETS = 4096
+#: Multiplicative spread of a keyed backoff delay: ``±JITTER/2``.
+JITTER = 0.5
 
 #: Raise an aggregated :class:`~repro.errors.SweepError` when any cell fails.
 STRICT = "strict"
@@ -51,26 +53,23 @@ class RetryPolicy:
     ``max_attempts`` counts every try, including the first; ``1`` means
     no retries.  A failed attempt ``n`` waits
     ``min(backoff_cap_s, backoff_base_s * 2**(n-1))`` before the cell is
-    re-dispatched, spread by ``jitter``: a *seeded* multiplicative spread
-    of ``±jitter/2`` derived from the cell key via
+    re-dispatched, spread by a *seeded* multiplicative factor of
+    ``±JITTER/2`` derived from the cell key via
     :func:`~.seeding.stable_hash` — not from ``random`` or the wall
     clock, so the DET invariant holds — which decorrelates the retry
-    times of cells that failed together (a fleet-wide partition must not
+    times of cells that failed together (one pool break must not
     produce a synchronized retry storm).  ``timeout_s`` is the
-    per-attempt wall-clock budget —
-    enforced only when a process pool is running (an in-process cell
-    cannot be preempted; the serial path runs without a deadline).  With
-    ``serial_final_attempt`` (the default), a cell's last attempt always
-    runs in-process in the parent, so a broken or saturated pool can
-    never consume a cell's final chance.
+    per-attempt wall-clock budget — enforced only when a process pool
+    is running (an in-process cell cannot be preempted; the serial path
+    runs without a deadline).  A pooled cell's last attempt always runs
+    in-process in the parent, so a broken or saturated pool can never
+    consume a cell's final chance.
     """
 
     max_attempts: int = 3
     backoff_base_s: float = 0.05
     backoff_cap_s: float = 2.0
     timeout_s: float | None = None
-    serial_final_attempt: bool = True
-    jitter: float = 0.5
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -79,28 +78,22 @@ class RetryPolicy:
             raise ConfigError("backoff durations must be >= 0")
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ConfigError(f"timeout_s must be positive, got {self.timeout_s}")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ConfigError(f"jitter must be in [0, 1], got {self.jitter}")
 
     def backoff_s(self, failures: int, key: str | None = None) -> float:
         """Delay before the next attempt after ``failures`` failed ones.
 
         With a ``key`` (the cell's job key) the exponential delay is
-        scaled by a deterministic factor in ``[1 - jitter/2,
-        1 + jitter/2)`` derived from ``(key, failures)`` — the same cell
+        scaled by a deterministic factor in ``[1 - JITTER/2,
+        1 + JITTER/2)`` derived from ``(key, failures)`` — the same cell
         always backs off the same amount, but sibling cells that failed
         in the same event spread out instead of retrying in lockstep.
-        Without a key (or with ``jitter=0``) the schedule is the exact
-        exponential.
+        Without a key the schedule is the exact exponential.
         """
         if failures <= 0:
             return 0.0
         delay = min(self.backoff_cap_s, self.backoff_base_s * (2 ** (failures - 1)))
-        if self.jitter and key is not None:
+        if key is not None:
             frac = (stable_hash("retry-jitter", key, failures)
                     % _JITTER_BUCKETS) / _JITTER_BUCKETS
-            delay *= 1.0 + self.jitter * (frac - 0.5)
+            delay *= 1.0 + JITTER * (frac - 0.5)
         return delay
-
-    def with_timeout(self, timeout_s: float | None) -> "RetryPolicy":
-        return replace(self, timeout_s=timeout_s)

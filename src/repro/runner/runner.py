@@ -1,5 +1,5 @@
-"""Backend-pluggable sweep execution with deterministic seeding, caching,
-and fault tolerance.
+"""Sweep execution with deterministic seeding, caching, and fault
+tolerance.
 
 :class:`SweepRunner` takes a list of independent :class:`~.job.Job` cells
 and executes them
@@ -7,26 +7,24 @@ and executes them
 - **deterministically**: every cell's seed is derived from the runner's
   root seed and the cell's key (:func:`~.seeding.derive_seed`), so the
   result set is a pure function of (grid, root seed) — bit-identical
-  whether cells run serially, across a local process pool, or sharded
-  over a TCP fleet of worker machines;
-- **on a pluggable backend**: the runner owns sweep *policy* (seeds,
-  cache, retry/backoff, timeouts, journal); the *mechanics* of running
-  cells live behind the :class:`~.backends.ExecutorBackend` interface —
-  ``serial`` (in-process), ``process`` (local pool), or ``tcp``
-  (multi-host fleet; ``python -m repro worker serve`` on each host);
+  whether cells run serially or across a local process pool;
+- **in-process or on a pool**: the runner owns sweep *policy* (seeds,
+  cache, retry/backoff, timeouts, journal).  Serial sweeps run cells in
+  the runner's own retry loop; parallel sweeps hand them to a
+  :class:`~.backends.ProcessPoolBackend`, which hides the pool
+  mechanics;
 - **incrementally**: with a :class:`~.cache.ResultCache` attached, cells
   whose (params, seed, code fingerprint) already have an entry are served
   from disk and only changed cells recompute;
 - **fault-tolerantly**: a cell that raises, exceeds its per-attempt
-  wall-clock timeout, or takes its worker down (a crashed pool process,
-  a lost fleet connection) is retried with exponential backoff on a
-  fresh worker, with its *final* attempt run in-process so no backend
-  flakiness can consume a cell's last chance.  A backend that becomes
-  unusable altogether (no pool, every fleet worker gone, unpicklable
-  payloads) degrades the sweep to the in-process serial executor rather
-  than failing it.  Cells that exhaust their attempts become structured
-  :class:`~.job.JobResult` error records — under the ``strict`` failure
-  policy the sweep then raises an aggregated
+  wall-clock timeout, or takes its pool worker down is retried with
+  exponential backoff on a fresh worker, with its *final* attempt run
+  in-process so no pool flakiness can consume a cell's last chance.  A
+  pool that becomes unusable altogether (no processes, repeated breaks,
+  unpicklable payloads) degrades the sweep to the in-process loop
+  rather than failing it.  Cells that exhaust their attempts become
+  structured :class:`~.job.JobResult` error records — under the
+  ``strict`` failure policy the sweep then raises an aggregated
   :class:`~repro.errors.SweepError`; under ``degrade`` it returns the
   full partial result list plus a failure manifest
   (``last_failures`` / ``last_stats``);
@@ -34,21 +32,11 @@ and executes them
   an append-only manifest (:class:`~.checkpoint.SweepJournal`) flushed
   per cell, so an interrupted, killed, or strict-aborted sweep resumes
   recomputing only unfinished cells.  ``KeyboardInterrupt`` shuts the
-  backend down and flushes the journal before propagating;
-- **cooperatively**: with ``lease_ttl=<seconds>`` (requires
-  ``checkpoint``), several runner processes drain *one* sweep through
-  one shared journal.  Each runner claims cells via journal lease
-  records before dispatching them, adopts peers' durable ``done``
-  records instead of recomputing, renews its leases while working, and
-  reclaims cells whose holder died (leases expire on the monotonic
-  clock).  Double-completions at the race edges resolve first-wins with
-  bit-identical verification, so the merged result set equals a clean
-  serial run no matter which runner is killed when;
+  pool down and flushes the journal before propagating;
 - **verifiably-on-purpose**: a seed-deterministic
   :class:`~.faults.FaultPlan` can inject worker crashes, cell
-  exceptions, hangs, network partitions, and cache corruption at chosen
-  cells, so every one of the recovery paths above is exercisable in
-  tests and CI.
+  exceptions, hangs, and cache corruption at chosen cells, so every one
+  of the recovery paths above is exercisable in tests and CI.
 """
 
 from __future__ import annotations
@@ -71,27 +59,19 @@ from .backends import (
     REQUEUED,
     BackendUnavailableError,
     CellTask,
-    ExecutorBackend,
+    ProcessPoolBackend,
     TransientSubmitError,
-    WorkerHealth,
-    make_backend,
-    normalize_addresses,
     run_task,
-    snapshots_enabled,
 )
 from .cache import ResultCache, code_fingerprint
 from .checkpoint import SweepJournal, sweep_id
 from .faults import FaultInjector, FaultPlan
 from .job import Job, JobResult, resolve_callable
 from .policy import STRICT, RetryPolicy, parse_failure_policy
-from .seeding import derive_seed, stable_digest
+from .seeding import derive_seed
 
 #: Environment knob mirrored by the CLI/pytest ``--jobs`` options.
 JOBS_ENV = "REPRO_JOBS"
-#: Environment knobs mirrored by the CLI/pytest ``--backend``/``--workers``
-#: options: backend name and the TCP fleet's HOST:PORT address list.
-BACKEND_ENV = "REPRO_BACKEND"
-WORKERS_ENV = "REPRO_WORKERS"
 
 _warned_negative_jobs = False
 
@@ -100,7 +80,7 @@ def default_jobs() -> int:
     """Worker count from ``REPRO_JOBS`` (serial when unset or invalid).
 
     A negative value clamps to serial (with a one-time warning) instead
-    of flowing into a backend's ``max_workers=<0``.
+    of flowing into a pool's ``max_workers=<0``.
     """
     global _warned_negative_jobs
     raw = os.environ.get(JOBS_ENV, "")
@@ -119,104 +99,6 @@ def default_jobs() -> int:
     return jobs if jobs != 0 else (os.cpu_count() or 1)
 
 
-def default_backend() -> str | None:
-    """Backend name from ``REPRO_BACKEND`` (``None`` = pick by ``jobs``)."""
-    return os.environ.get(BACKEND_ENV, "").strip().lower() or None
-
-
-def default_workers() -> tuple[str, ...]:
-    """TCP fleet addresses from ``REPRO_WORKERS`` (comma-separated)."""
-    return normalize_addresses(os.environ.get(WORKERS_ENV, ""))
-
-
-class _LeaseCoop:
-    """One run's view of journal-lease cooperation.
-
-    Wraps the shared :class:`~.checkpoint.SweepJournal` with the three
-    verbs the dispatcher needs: *claim* a cell before dispatching it
-    (file order arbitrates races; an expired foreign lease is reclaimed),
-    *poll* for peers' durable completions to adopt, and *renew*/-
-    *release* held leases.  Every decision folds out of the shared
-    append-only journal, so all cooperating runners see the same state.
-    """
-
-    def __init__(self, journal: SweepJournal, journal_id: str,
-                 ttl_s: float, runner_id: str) -> None:
-        self.journal = journal
-        self.journal_id = journal_id
-        self.ttl_s = ttl_s
-        self.runner_id = runner_id
-        #: How often the dispatcher should look for peer activity while
-        #: idle — a fraction of the TTL so expiries are seen promptly.
-        self.poll_s = max(0.02, min(0.25, ttl_s / 4))
-        self.claimed: set[str] = set()
-        self.stats: dict[str, int] = {
-            "leases_claimed": 0, "lease_losses": 0, "leases_reclaimed": 0,
-            "lease_renewals": 0, "adopted": 0,
-        }
-        self._fresh: dict[str, JobResult] = {}
-        self._last_renew = time.monotonic()
-
-    def _consume(self) -> None:
-        # Accumulate rather than return: try_claim() replays the journal
-        # too, and any done records it surfaces must not be swallowed —
-        # they stay queued here until the next poll() drains them.
-        self._fresh.update(self.journal.poll_updates(self.journal_id))
-
-    def poll(self) -> dict[str, JobResult]:
-        """Peers' newly journalled completions (adopt, don't recompute)."""
-        self._consume()
-        self._maybe_renew()
-        fresh, self._fresh = self._fresh, {}
-        return fresh
-
-    def _maybe_renew(self) -> None:
-        now = time.monotonic()
-        if self.claimed and now - self._last_renew >= self.ttl_s / 3.0:
-            self.journal.renew(self.runner_id, sorted(self.claimed), self.ttl_s)
-            self.stats["lease_renewals"] += 1
-            self._last_renew = now
-
-    def foreign_holder(self, key: str) -> str | None:
-        """The peer holding an unexpired lease on ``key`` (None = free)."""
-        holder = self.journal.leases.holder(key)
-        return None if holder is None or holder == self.runner_id else holder
-
-    def try_claim(self, key: str) -> bool:
-        """Append a claim and let journal file order arbitrate it."""
-        if key in self.claimed:
-            return True
-        stale = self.journal.leases.stale_holder(key)
-        self.journal.claim(self.runner_id, [key], self.ttl_s)
-        self._consume()
-        if self.journal.leases.holder(key) == self.runner_id:
-            self.claimed.add(key)
-            self.stats["leases_claimed"] += 1
-            if stale is not None and stale != self.runner_id:
-                self.stats["leases_reclaimed"] += 1
-            return True
-        self.stats["lease_losses"] += 1
-        return False
-
-    def settle(self, key: str) -> None:
-        """The cell completed here: its ``done`` record supersedes the
-        lease, which is simply left to expire (an explicit release would
-        invite a peer to recompute before it sees the record)."""
-        self.claimed.discard(key)
-
-    def release_key(self, key: str) -> None:
-        """Give the cell up (permanent failure here): a peer with its
-        own attempt budget may claim it immediately."""
-        if key in self.claimed:
-            self.journal.release(self.runner_id, [key])
-            self.claimed.discard(key)
-
-    def release_all(self) -> None:
-        if self.claimed:
-            self.journal.release(self.runner_id, sorted(self.claimed))
-            self.claimed.clear()
-
-
 class SweepRunner:
     """Declarative executor for (config x workload x seed) grids.
 
@@ -225,26 +107,15 @@ class SweepRunner:
     derivation; ``cache`` is a :class:`ResultCache`, a directory path, or
     ``None`` to disable caching.
 
-    ``backend`` picks how cells execute: ``"serial"``, ``"process"``,
-    ``"tcp"`` (or ``"tcp://host:port,..."``), a ready
-    :class:`~.backends.ExecutorBackend` instance, or ``None`` to read
-    ``REPRO_BACKEND`` and fall back to process-pool-when-parallel.
-    ``workers`` lists the TCP fleet's ``HOST:PORT`` addresses (string or
-    sequence; default ``REPRO_WORKERS``).
-
     Fault-tolerance knobs: ``policy`` is the sweep-level failure policy
     (``"strict"`` or ``"degrade"``); ``retry`` a :class:`RetryPolicy`
-    (attempts/backoff/timeout); ``timeout_s`` a convenience override of
-    ``retry.timeout_s``; ``checkpoint`` a journal path enabling
+    (attempts/backoff/timeout); ``checkpoint`` a journal path enabling
     checkpoint/resume; ``fault_plan`` a deterministic
     :class:`~.faults.FaultPlan` for chaos testing.
 
-    Robustness knobs: ``heartbeat_s`` enables the TCP fleet's liveness
-    heartbeat (hung-worker detection + mid-sweep re-admission of
-    restarted workers); ``lease_ttl`` (requires ``checkpoint``) makes
-    the run *cooperative* — several runners pointed at the same journal
-    share one sweep via lease records; ``runner_id`` names this runner
-    in those records (defaults to a pid-based id).
+    ``backend`` picks how cells execute: ``"serial"`` (the in-process
+    loop), ``"process"`` (a local pool of ``jobs`` workers), or ``None``
+    for the pool when ``jobs > 1`` and the in-process loop otherwise.
     """
 
     def __init__(
@@ -252,17 +123,11 @@ class SweepRunner:
         jobs: int | None = None,
         root_seed: int = 0,
         cache: ResultCache | str | os.PathLike | None = None,
-        chunk_size: int | None = None,
         policy: str = STRICT,
         retry: RetryPolicy | None = None,
-        timeout_s: float | None = None,
         checkpoint: str | os.PathLike | None = None,
         fault_plan: FaultPlan | None = None,
-        backend: str | ExecutorBackend | None = None,
-        workers: str | Sequence[str] | None = None,
-        heartbeat_s: float | None = None,
-        lease_ttl: float | None = None,
-        runner_id: str | None = None,
+        backend: str | None = None,
     ) -> None:
         if jobs is None:
             jobs = default_jobs()
@@ -275,37 +140,15 @@ class SweepRunner:
         if cache is not None and not isinstance(cache, ResultCache):
             cache = ResultCache(cache)
         self.cache = cache
-        self.chunk_size = chunk_size  # retained for API compatibility; unused
         self.policy = parse_failure_policy(policy)
-        if retry is None:
-            retry = RetryPolicy()
-        if timeout_s is not None:
-            retry = retry.with_timeout(timeout_s)
-        self.retry = retry
+        self.retry = retry if retry is not None else RetryPolicy()
         self.checkpoint = checkpoint
         self.fault_plan = fault_plan
-        self.backend = backend
-        self.workers = normalize_addresses(workers) or None
-        if heartbeat_s is not None and heartbeat_s <= 0:
-            raise ValueError(f"heartbeat_s must be positive, got {heartbeat_s}")
-        self.heartbeat_s = heartbeat_s
-        if lease_ttl is not None and lease_ttl <= 0:
-            raise ValueError(f"lease_ttl must be positive, got {lease_ttl}")
-        if lease_ttl is not None and checkpoint is None:
+        if backend not in (None, "serial", "process"):
             raise ConfigError(
-                "lease_ttl requires checkpoint=<path>: cooperation is "
-                "mediated entirely by the shared sweep journal"
+                f"unknown sweep backend {backend!r}; expected 'serial' or 'process'"
             )
-        self.lease_ttl = lease_ttl
-        if runner_id is None:
-            # pid + monotonic microseconds: unique among the cooperating
-            # runners on one machine without reaching for os.urandom
-            # (identity is bookkeeping, not part of any result).
-            runner_id = (
-                f"runner-{os.getpid()}-"
-                f"{int(time.monotonic() * 1e6) & 0xFFFFFF:06x}"
-            )
-        self.runner_id = runner_id
+        self.backend = backend
         #: Execution summary of the most recent :meth:`run`.
         self.last_stats: dict[str, Any] = {}
         #: Failure manifest of the most recent :meth:`run` (``ok=False``
@@ -314,9 +157,6 @@ class SweepRunner:
         #: The injector used by the most recent :meth:`run` (``None``
         #: without a fault plan); ``last_injector.tripped`` logs what fired.
         self.last_injector: FaultInjector | None = None
-        #: Per-worker health reports from the most recent :meth:`run`'s
-        #: backend (empty for a pure cache/journal replay).
-        self.last_worker_health: list[WorkerHealth] = []
 
     # -- seed/cache bookkeeping ---------------------------------------------------
 
@@ -344,46 +184,15 @@ class SweepRunner:
         return fingerprint
 
     def _cache_key(self, job: Job, seed: int | None, memo: dict[str, str]) -> str:
-        fingerprint = self._fingerprint_for(job.fn, memo)
-        if (job.prefix is not None
-                and job.prefix.fn.partition(":")[0] != job.fn.partition(":")[0]):
-            # The cell's result depends on the prefix's code too; fold in
-            # its module fingerprint when it lives elsewhere.
-            fingerprint = (
-                f"{fingerprint}-{self._fingerprint_for(job.prefix.fn, memo)}"
-            )
         assert self.cache is not None
         return self.cache.key_for(
-            job.fn, job.params, seed, fingerprint, prefix=job.prefix,
+            job.fn, job.params, seed, self._fingerprint_for(job.fn, memo),
         )
 
-    def prefix_seed_for(self, prefix) -> int | None:
-        """The seed a prefix stage runs with (explicit, derived, None)."""
-        if not prefix.pass_seed:
-            return prefix.seed
-        if prefix.seed is not None:
-            return prefix.seed
-        return derive_seed(self.root_seed, prefix.key)
-
-    # -- backend resolution -------------------------------------------------------
-
-    def _resolve_backend(self, pending: int) -> ExecutorBackend:
-        """The backend for this run (never ``None``; may raise
-        :class:`BackendUnavailableError` from its ``start``)."""
-        spec = self.backend
-        if spec is None:
-            spec = default_backend()
-        if isinstance(spec, ExecutorBackend):
-            return spec
-        jobs = min(self.jobs, pending) if pending else 1
-        if spec is None:
-            spec = "process" if jobs > 1 else "serial"
-        workers = self.workers or default_workers()
-        return make_backend(
-            spec, jobs=jobs, workers=workers,
-            max_rebuilds=2 * pending + 4,
-            heartbeat_s=self.heartbeat_s,
-        )
+    def _wants_pool(self, pending: int) -> bool:
+        if self.backend is not None:
+            return self.backend == "process"
+        return min(self.jobs, pending) > 1
 
     # -- execution ---------------------------------------------------------------
 
@@ -391,10 +200,10 @@ class SweepRunner:
         """Execute ``cells``; results come back in input order.
 
         The output is bit-identical to running the cells in a plain
-        serial loop: the backend choice, parallelism, retries, worker
-        scheduling, cache hits, and journal resumption are all invisible
-        in the result set.  Failed cells appear as ``ok=False`` records
-        under ``degrade``; under ``strict`` the sweep raises
+        serial loop: parallelism, retries, worker scheduling, cache
+        hits, and journal resumption are all invisible in the result
+        set.  Failed cells appear as ``ok=False`` records under
+        ``degrade``; under ``strict`` the sweep raises
         :class:`SweepError` once every cell has had its attempts
         (completed cells are still journalled first, so a strict abort
         is resumable).
@@ -410,18 +219,11 @@ class SweepRunner:
         failures: list[JobResult] = []
         injector = FaultInjector(self.fault_plan) if self.fault_plan else None
         self.last_injector = injector
-        self.last_worker_health = []
 
         # Checkpoint journal: replay completed cells of this exact sweep.
         journal: SweepJournal | None = None
-        coop: _LeaseCoop | None = None
         journal_hits = 0
         if self.checkpoint is not None:
-            if self.lease_ttl is not None:
-                # A cooperating runner must never truncate the shared
-                # journal: a fresh header would destroy its peers'
-                # records mid-sweep.
-                resume = True
             journal = SweepJournal(self.checkpoint)
             journal_id = sweep_id(self.root_seed, keys, code_fingerprint())
             if resume:
@@ -432,10 +234,6 @@ class SweepRunner:
                         results[i] = entry
                         journal_hits += 1
             journal.open_for(journal_id, resume=resume)
-            if self.lease_ttl is not None:
-                coop = _LeaseCoop(
-                    journal, journal_id, self.lease_ttl, self.runner_id,
-                )
 
         # Result cache: serve identical (params, seed, code) cells from disk.
         fingerprint_memo: dict[str, str] = {}
@@ -459,74 +257,26 @@ class SweepRunner:
             1 for r in results if r is not None and r.cached
         )
 
-        # Prefix sharing: group pending cells by identical (prefix fn,
-        # params, derived seed); prefetch each distinct group's snapshot
-        # from the cache so member cells fork instead of replaying the
-        # warmup.  Blobs produced by workers mid-sweep are added to
-        # ``blobs`` (and persisted) as they arrive.
-        prefix_seeds: list[int | None] = [None] * len(cells)
-        prefix_groups: list[str | None] = [None] * len(cells)
-        for i, job in enumerate(cells):
-            if job.prefix is None:
-                continue
-            pseed = self.prefix_seed_for(job.prefix)
-            prefix_seeds[i] = pseed
-            prefix_groups[i] = stable_digest(
-                "prefix-group", job.prefix.fn, job.prefix.params, pseed
-            )
-        prefix_ctx: dict[str, Any] = {
-            "seeds": prefix_seeds, "groups": prefix_groups,
-            "blobs": {}, "cache_keys": {}, "stored": set(),
-            "hits": 0, "misses": 0, "stores": 0,
-        }
-        if self.cache is not None and snapshots_enabled():
-            for i in pending:
-                group = prefix_groups[i]
-                if group is None or group in prefix_ctx["cache_keys"]:
-                    continue
-                prefix = cells[i].prefix
-                skey = self.cache.snapshot_key_for(
-                    prefix.fn, prefix.params, prefix_seeds[i],
-                    self._fingerprint_for(prefix.fn, fingerprint_memo),
-                )
-                prefix_ctx["cache_keys"][group] = skey
-                blob = self.cache.get_snapshot(skey)
-                if blob is self.cache.MISS:
-                    prefix_ctx["misses"] += 1
-                else:
-                    prefix_ctx["hits"] += 1
-                    prefix_ctx["blobs"][group] = blob
-                    prefix_ctx["stored"].add(group)
-
         def finish(i: int, result: JobResult) -> None:
-            if results[i] is not None:
-                return  # already settled (e.g. adopted from a peer)
             results[i] = result
             if not result.ok:
                 failures.append(result)
                 return
-            if journal is not None and not result.resumed:
-                # Adopted results came *from* the journal — re-recording
-                # them would just mint duplicate done records.
+            if journal is not None:
                 journal.record(result)
-            if self.cache is not None:
-                self.cache.put(cache_keys[i], result.value)
+            if self.cache is not None and self.cache.put(cache_keys[i], result.value):
                 if injector is not None and injector.corruption_for(i, cells[i].key):
                     injector.corrupt_entry(self.cache, cache_keys[i])
 
         dispatch_stats: dict[str, Any] = {
-            "retries": 0, "timeouts": 0, "pool_breaks": 0, "workers_lost": 0,
+            "retries": 0, "timeouts": 0, "pool_breaks": 0,
             "backend": "serial", "workers": 1,
         }
-        if coop is not None:
-            dispatch_stats.update(coop.stats)
-            dispatch_stats["runner_id"] = self.runner_id
         mode = "serial"
         if pending:
             try:
                 mode = self._dispatch(
                     cells, seeds, pending, finish, injector, dispatch_stats,
-                    prefix_ctx, coop,
                 )
             except KeyboardInterrupt:
                 # Completed cells are already journalled (flushed per
@@ -544,20 +294,12 @@ class SweepRunner:
             "mode": mode,
             "failures": len(failures),
             "failed": [r.key for r in failures],
-            "prefix_groups": len({g for g in prefix_groups if g is not None}),
-            "snapshot_hits": prefix_ctx["hits"],
-            "snapshot_misses": prefix_ctx["misses"],
-            "snapshot_stores": prefix_ctx["stores"],
             **dispatch_stats,
         }
 
         if journal is not None:
-            if failures or coop is not None:
-                # Keep the file: unfinished cells resume later, and in
-                # cooperative mode peers may still be tailing it for
-                # leases/adoptions — unlinking it under them would leave
-                # them waiting on records they can no longer see.
-                journal.close()
+            if failures:
+                journal.close()  # keep the file: unfinished cells resume later
             else:
                 journal.complete()
 
@@ -579,19 +321,14 @@ class SweepRunner:
         finish: Callable[[int, JobResult], None],
         injector: FaultInjector | None,
         stats: dict[str, Any],
-        prefix_ctx: dict[str, Any] | None = None,
-        coop: "_LeaseCoop | None" = None,
     ) -> str:
-        """Execute ``pending`` cell indices on the resolved backend with
-        retries/timeouts, reporting each completion through ``finish``;
-        returns the mode string (``serial``, ``parallel``, or
-        ``serial-fallback``).
+        """Execute ``pending`` cell indices with retries/timeouts,
+        reporting each completion through ``finish``; returns the mode
+        string (``serial``, ``parallel``, or ``serial-fallback``).
 
-        With ``coop``, every cell passes a lease gate before dispatch:
-        cells leased by a live peer park in ``foreign`` (re-checked as
-        leases expire and peers' ``done`` records arrive), and the loop
-        only ends once every cell is settled locally — computed here,
-        adopted from a peer, or failed for good.
+        Cells run on the process pool while it is usable; whatever is
+        still queued afterwards (everything, for a serial sweep) drains
+        through the in-process loop.
         """
         policy = self.retry
         max_att = policy.max_attempts
@@ -599,94 +336,23 @@ class SweepRunner:
         attempts: dict[int, int] = dict.fromkeys(pending, 0)
         ready_at: dict[int, float] = dict.fromkeys(pending, 0.0)
         queue: deque[int] = deque(pending)
-        task_ids = count()
-        in_flight: dict[int, tuple[int, float]] = {}  # task_id -> (idx, deadline)
-        settled: set[int] = set()
-        foreign: deque[int] = deque()  # parked: leased by a live peer
-        by_key = {cells[i].key: i for i in pending}
-
-        backend: ExecutorBackend | None = None
-        serial_only = False
-        mode = "serial"
-        try:
-            backend = self._resolve_backend(len(pending))
-            backend.start()
-        except BackendUnavailableError as exc:
-            warnings.warn(
-                f"sweep backend unavailable ({exc}); running serially",
-                RuntimeWarning, stacklevel=3,
-            )
-            if backend is not None:
-                backend.shutdown(cancel=True)
-            backend = None
-            serial_only = True
-            mode = "serial-fallback"
-        else:
-            mode = "serial" if backend.name == "serial" else "parallel"
-            stats["backend"] = backend.name
-            stats["workers"] = max(1, backend.capacity)
-        serial_backend = backend is not None and not backend.preemptible
-
-        if prefix_ctx is None:
-            prefix_ctx = {
-                "seeds": [None] * len(cells), "groups": [None] * len(cells),
-                "blobs": {}, "cache_keys": {}, "stored": set(),
-                "hits": 0, "misses": 0, "stores": 0,
-            }
-
-        def spec_for(idx: int, attempt: int) -> tuple | None:
-            if injector is None:
-                return None
-            return injector.spec_for(idx, cells[idx].key, attempt)
-
-        def prefix_spec_for(idx: int, attempt: int) -> tuple | None:
-            if injector is None or cells[idx].prefix is None:
-                return None
-            return injector.prefix_spec_for(idx, cells[idx].key, attempt)
 
         def make_task(idx: int, task_id: int) -> CellTask:
-            group = prefix_ctx["groups"][idx]
-            return CellTask(
-                task_id=task_id, index=idx, job=cells[idx], seed=seeds[idx],
-                fault_spec=spec_for(idx, attempts[idx]),
-                prefix_seed=prefix_ctx["seeds"][idx],
-                prefix_group=group,
-                prefix_blob=(
-                    prefix_ctx["blobs"].get(group) if group is not None else None
-                ),
-                prefix_fault_spec=prefix_spec_for(idx, attempts[idx]),
-            )
+            spec = None
+            if injector is not None:
+                spec = injector.spec_for(idx, cells[idx].key, attempts[idx])
+            return CellTask(task_id=task_id, job=cells[idx], seed=seeds[idx],
+                            fault_spec=spec)
 
-        def note_blob(idx: int, blob: bytes | None) -> None:
-            """Persist + share a worker-produced prefix snapshot so the
-            rest of the group forks instead of recomputing."""
-            if blob is None:
-                return
-            group = prefix_ctx["groups"][idx]
-            if group is None:
-                return
-            prefix_ctx["blobs"].setdefault(group, blob)
-            if self.cache is None or group in prefix_ctx["stored"]:
-                return
-            skey = prefix_ctx["cache_keys"].get(group)
-            if skey is None:
-                return
-            self.cache.put_snapshot(skey, blob)
-            prefix_ctx["stored"].add(group)
-            prefix_ctx["stores"] += 1
-
-        def settle(idx: int, result: JobResult) -> None:
-            settled.add(idx)
-            if coop is not None:
-                if result.ok:
-                    coop.settle(cells[idx].key)
-                else:
-                    coop.release_key(cells[idx].key)
-            finish(idx, result)
+        def settle(idx: int, value: Any, duration_s: float) -> None:
+            finish(idx, JobResult(
+                key=cells[idx].key, value=value, seed=seeds[idx],
+                duration_s=duration_s, attempts=attempts[idx],
+            ))
 
         def record_failure(idx: int, error_type: str, message: str) -> None:
             if attempts[idx] >= max_att:
-                settle(idx, JobResult(
+                finish(idx, JobResult(
                     key=cells[idx].key, value=None, seed=seeds[idx],
                     ok=False, error=message, error_type=error_type,
                     attempts=attempts[idx],
@@ -700,118 +366,51 @@ class SweepRunner:
 
         def run_inproc(idx: int) -> None:
             attempts[idx] += 1
-            task = make_task(idx, task_id=-1)
             try:
-                value, duration, blob = run_task(task, in_worker=False)
+                value, duration = run_task(make_task(idx, task_id=-1),
+                                           in_worker=False)
             except Exception as exc:
                 record_failure(idx, type(exc).__name__, str(exc) or repr(exc))
                 return
-            note_blob(idx, blob)
-            settle(idx, JobResult(
-                key=cells[idx].key, value=value, seed=seeds[idx],
-                duration_s=duration, attempts=attempts[idx],
-            ))
+            settle(idx, value, duration)
 
         def next_ready(now: float) -> int | None:
             for _ in range(len(queue)):
                 idx = queue.popleft()
-                if idx in settled:
-                    continue
                 if ready_at[idx] <= now:
                     return idx
                 queue.append(idx)
             return None
 
-        def adopt_updates() -> None:
-            """Fold peers' journal activity in: adopt their durable
-            completions, un-park cells whose leases lapsed."""
-            if coop is None:
-                return
-            fresh = coop.poll()
-            for key in sorted(fresh):
-                idx = by_key.get(key)
-                if idx is None or idx in settled:
-                    continue
-                result = fresh[key]
-                if result.seed != seeds[idx]:
-                    continue  # foreign record; recompute rather than trust it
-                settled.add(idx)
-                coop.stats["adopted"] += 1
-                coop.settle(key)
-                finish(idx, result)
-            for _ in range(len(foreign)):
-                idx = foreign.popleft()
-                if idx in settled:
-                    continue
-                if coop.foreign_holder(cells[idx].key) is None:
-                    queue.append(idx)  # lease lapsed/released: contend for it
-                else:
-                    foreign.append(idx)
+        def sleep_until_ready() -> None:
+            pause = min(ready_at[i] for i in queue) - time.monotonic()
+            if pause > 0:
+                time.sleep(pause)
 
-        def claim_gate(idx: int) -> bool:
-            """May this runner dispatch ``idx`` right now?  Cells a live
-            peer holds park in ``foreign`` (False)."""
-            if coop is None:
-                return True
-            key = cells[idx].key
-            if coop.foreign_holder(key) is not None or not coop.try_claim(key):
-                foreign.append(idx)
-                return False
-            return True
+        def drain_pool(pool: ProcessPoolBackend) -> str:
+            """Run queued cells on ``pool`` until the queue is empty
+            (``parallel``) or the pool proves unusable, in which case
+            in-flight cells return to the queue uncharged
+            (``serial-fallback``)."""
+            task_ids = count()
+            in_flight: dict[int, tuple[int, float]] = {}  # task_id -> (idx, deadline)
 
-        def go_serial() -> None:
-            """Fall back to the in-process executor for the rest of the
-            sweep; in-flight cells re-dispatch uncharged."""
-            nonlocal serial_only, mode
-            serial_only = True
-            mode = "serial-fallback"
-            for _tid, (idx, _dl) in in_flight.items():
-                attempts[idx] -= 1
-                queue.append(idx)
-            in_flight.clear()
-            if backend is not None:
-                backend.shutdown(cancel=True)
+            def fall_back() -> str:
+                for idx, _dl in in_flight.values():
+                    attempts[idx] -= 1
+                    queue.append(idx)
+                in_flight.clear()
+                return "serial-fallback"
 
-        try:
-            while queue or in_flight or foreign:
-                adopt_updates()
-                if serial_only:
-                    if not queue:
-                        if not foreign:
-                            continue  # settled by adoption; loop re-checks
-                        # Only peer-leased cells remain: wait for their
-                        # done records or their lease expiries.
-                        time.sleep(coop.poll_s)
-                        continue
-                    idx = queue.popleft()
-                    if idx in settled:
-                        continue
-                    if not claim_gate(idx):
-                        continue
-                    delay = ready_at[idx] - time.monotonic()
-                    if delay > 0:
-                        time.sleep(delay)
-                    run_inproc(idx)
-                    continue
-
-                # A backend with no workers left (a collapsed TCP fleet)
-                # cannot make progress: finish the sweep in-process.
-                if backend.capacity < 1:
-                    go_serial()
-                    continue
-
-                # Dispatch every ready cell up to the backend's capacity.
+            while queue or in_flight:
+                # Dispatch every ready cell up to the pool's capacity.
                 now = time.monotonic()
-                while queue and len(in_flight) < backend.capacity:
+                while queue and len(in_flight) < pool.capacity:
                     idx = next_ready(now)
                     if idx is None:
                         break
-                    if not claim_gate(idx):
-                        continue
-                    if (policy.serial_final_attempt and max_att > 1
-                            and not serial_backend
-                            and attempts[idx] == max_att - 1):
-                        # Final attempt: in-process, immune to backend
+                    if max_att > 1 and attempts[idx] == max_att - 1:
+                        # Final attempt: in-process, immune to pool
                         # flakiness.
                         run_inproc(idx)
                         now = time.monotonic()
@@ -819,7 +418,7 @@ class SweepRunner:
                     attempts[idx] += 1
                     task = make_task(idx, task_id=next(task_ids))
                     try:
-                        backend.submit(task)
+                        pool.submit(task)
                     except TransientSubmitError:
                         attempts[idx] -= 1
                         queue.appendleft(idx)
@@ -827,54 +426,32 @@ class SweepRunner:
                     except BackendUnavailableError:
                         attempts[idx] -= 1
                         queue.appendleft(idx)
-                        go_serial()
-                        break
+                        return fall_back()
                     deadline = now + timeout_s if timeout_s else math.inf
                     in_flight[task.task_id] = (idx, deadline)
-                if serial_only:
-                    continue
                 if not in_flight:
                     if queue:
                         # Nothing in flight, nothing ready: sleep out the
-                        # shortest backoff (but keep polling peers).
-                        soonest = min(ready_at[i] for i in queue)
-                        pause = soonest - time.monotonic()
-                        if coop is not None:
-                            pause = min(pause, coop.poll_s)
-                        if pause > 0:
-                            time.sleep(pause)
-                    elif foreign:
-                        # Everything left is leased to live peers.
-                        time.sleep(coop.poll_s)
+                        # shortest backoff.
+                        sleep_until_ready()
                     continue
 
                 # Wake on the first completion, the nearest deadline, or
                 # the nearest retry-ready time (to keep workers fed).
                 wake = min(dl for (_i, dl) in in_flight.values())
-                if queue and len(in_flight) < backend.capacity:
+                if queue and len(in_flight) < pool.capacity:
                     wake = min(wake, min(ready_at[i] for i in queue))
                 wait_t = (None if wake == math.inf
                           else max(0.0, wake - time.monotonic()))
-                if coop is not None:
-                    wait_t = (coop.poll_s if wait_t is None
-                              else min(wait_t, coop.poll_s))
-                outcomes = backend.poll(wait_t)
 
                 rejected = False
-                for outcome in outcomes:
+                for outcome in pool.poll(wait_t):
                     entry = in_flight.pop(outcome.task_id, None)
                     if entry is None:
                         continue  # already settled (e.g. timed out)
                     idx, _dl = entry
-                    if idx in settled:
-                        continue  # adopted from a peer while in flight
                     if outcome.kind == OK:
-                        note_blob(idx, outcome.prefix_blob)
-                        settle(idx, JobResult(
-                            key=cells[idx].key, value=outcome.value,
-                            seed=seeds[idx], duration_s=outcome.duration_s,
-                            attempts=attempts[idx],
-                        ))
+                        settle(idx, outcome.value, outcome.duration_s)
                     elif outcome.kind == ERROR:
                         record_failure(
                             idx, outcome.error_type or "WorkerError",
@@ -882,7 +459,7 @@ class SweepRunner:
                         )
                     elif outcome.kind == LOST:
                         # The worker died under this cell: charge the
-                        # attempt and re-dispatch on surviving capacity.
+                        # attempt and re-dispatch on a fresh pool.
                         record_failure(
                             idx, outcome.error_type or "WorkerCrash",
                             outcome.error or "worker lost mid-cell",
@@ -893,7 +470,7 @@ class SweepRunner:
                         attempts[idx] -= 1
                         queue.append(idx)
                     elif outcome.kind == REJECTED:
-                        # The payload/result cannot cross this backend's
+                        # The payload/result cannot cross the process
                         # boundary at all.  Uncharge and finish
                         # in-process, where no serialisation happens (and
                         # genuine cell errors of these types still
@@ -902,13 +479,12 @@ class SweepRunner:
                         queue.appendleft(idx)
                         rejected = True
                 if rejected:
-                    go_serial()
-                    continue
+                    return fall_back()
 
                 # Per-cell wall-clock timeouts: charge + fail the expired
-                # cells, then let the backend reclaim what it can
-                # (innocent in-flight cells re-dispatch uncharged).
-                if timeout_s and backend.preemptible:
+                # cells, then let the pool reclaim what it can (innocent
+                # in-flight cells re-dispatch uncharged).
+                if timeout_s:
                     now = time.monotonic()
                     expired = [
                         tid for tid, (_i, dl) in in_flight.items() if dl <= now
@@ -917,30 +493,50 @@ class SweepRunner:
                         stats["timeouts"] += len(expired)
                         for tid in expired:
                             idx, _dl = in_flight.pop(tid)
-                            if idx in settled:
-                                continue
                             record_failure(
                                 idx, "CellTimeout",
                                 f"cell exceeded {timeout_s}s wall-clock "
                                 f"budget (attempt {attempts[idx]})",
                             )
-                        backend.abandon(expired)
-            # Normal completion: a clean synchronous shutdown.
-            if backend is not None and not serial_only:
-                backend.shutdown(cancel=False)
+                        pool.abandon(expired)
+            return "parallel"
+
+        mode = "serial"
+        pool: ProcessPoolBackend | None = None
+        if self._wants_pool(len(pending)):
+            pool = ProcessPoolBackend(
+                max(1, min(self.jobs, len(pending))),
+                max_rebuilds=2 * len(pending) + 4,
+            )
+            try:
+                pool.start()
+            except BackendUnavailableError as exc:
+                warnings.warn(
+                    f"sweep backend unavailable ({exc}); running serially",
+                    RuntimeWarning, stacklevel=3,
+                )
+                pool = None
+                mode = "serial-fallback"
+            else:
+                stats["backend"] = pool.name
+                stats["workers"] = pool.capacity
+        try:
+            if pool is not None:
+                mode = drain_pool(pool)
+                # Normal completion: a clean synchronous shutdown.
+                pool.shutdown(cancel=mode == "serial-fallback")
+            # The in-process loop: a serial sweep, or whatever a failed
+            # pool left behind.
+            while queue:
+                idx = next_ready(time.monotonic())
+                if idx is None:
+                    sleep_until_ready()
+                    continue
+                run_inproc(idx)
         finally:
             # KeyboardInterrupt / unexpected error: abandon workers and
-            # cancel anything not yet started; merge backend counters.
-            if coop is not None:
-                try:
-                    coop.release_all()
-                except OSError:
-                    pass  # journal gone (a peer completed the sweep)
-                for key, value in coop.stats.items():
-                    stats[key] = value
-            if backend is not None:
-                backend.shutdown(cancel=True)
-                self.last_worker_health = backend.worker_health()
-                for key, value in backend.stats().items():
-                    stats[key] = value
+            # cancel anything not yet started.
+            if pool is not None:
+                pool.shutdown(cancel=True)
+                stats["pool_breaks"] = pool.pool_breaks
         return mode

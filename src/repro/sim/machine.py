@@ -65,42 +65,6 @@ class Machine:
         self._pair_lcg = 0x2545F491
         self._access_hooks: list[Callable[[MemoryAccess, int], None]] = []
 
-    # -- snapshot/restore ----------------------------------------------------------
-
-    def snapshot(self) -> bytes:
-        """Capture the whole machine — caches, DRAM device + disturbance
-        tracker, PMU/PEBS counters, pending timers, RNG streams — into a
-        checksummed blob that :meth:`restore` turns back into an
-        independent, bit-identical machine.
-
-        Raises :class:`~repro.errors.SnapshotUnsupportedError` when any
-        replacement policy reports no canonical state (``state_key() is
-        None``) or the object graph cannot be pickled (e.g. lambdas
-        registered as access hooks); callers should fall back to cold
-        execution in that case.
-        """
-        from .snapshot import snapshot_value  # deferred: snapshot imports machine
-
-        return snapshot_value(self)
-
-    @classmethod
-    def restore(cls, blob: bytes) -> "Machine":
-        """A fresh machine restored from a :meth:`snapshot` blob.
-
-        Every restore deserialises an independent object graph, so many
-        cells can fork from one blob without sharing mutable state.
-        Raises :class:`~repro.errors.SnapshotError` on a corrupt blob or
-        if the blob does not hold a machine.
-        """
-        from .snapshot import SnapshotError, restore_value
-
-        machine = restore_value(blob)
-        if not isinstance(machine, cls):
-            raise SnapshotError(
-                f"snapshot holds {type(machine).__name__}, not {cls.__name__}"
-            )
-        return machine
-
     # -- time --------------------------------------------------------------------
 
     def now_ms(self) -> float:

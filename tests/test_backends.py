@@ -1,47 +1,28 @@
-"""Backend conformance: serial, process-pool, and TCP fleet are
-interchangeable by construction.
+"""In-process and process-pool execution are interchangeable by
+construction.
 
-The same 12-cell sweep runs on every backend and must yield bit-identical
+The same 12-cell sweep runs on both and must yield bit-identical
 :class:`JobResult` lists — values, seeds, ordering, and failure records —
-and, under a checkpoint, byte-for-byte identical journal *content*.
-Placement is irrelevant because per-cell seeds derive from
-``(root_seed, key)`` alone; these tests are the enforcement.
-
-The TCP rows run against real loopback sockets via in-process thread
-workers (:func:`start_thread_worker`), so the full wire protocol —
-handshake, pickled payloads, result framing, lost-worker detection — is
-exercised without subprocess spawn costs.  The subprocess worker path is
-covered by the fleet chaos bench (``benchmarks/bench_chaos_sweep.py``).
+and, under a checkpoint, identical journal *content*.  Placement is
+irrelevant because per-cell seeds derive from ``(root_seed, key)``
+alone; these tests are the enforcement.
 """
 
 from __future__ import annotations
 
 import random
-import socket
-import threading
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.runner import (
     Fault,
     FaultPlan,
     Job,
-    RetryPolicy,
-    SerialBackend,
     SweepJournal,
     SweepRunner,
-    TcpFleetBackend,
-    WireProtocolError,
     code_fingerprint,
-    make_backend,
-    start_thread_worker,
     sweep_id,
-)
-from repro.runner.backends.wire import (
-    PROTOCOL_VERSION,
-    parse_address,
-    recv_message,
-    send_message,
 )
 
 ROOT_SEED = 11
@@ -61,38 +42,22 @@ def make_grid() -> list[Job]:
     ]
 
 
-@pytest.fixture
-def fleet():
-    """Two loopback thread workers; yields their HOST:PORT addresses."""
-    addr1, stop1 = start_thread_worker()
-    addr2, stop2 = start_thread_worker()
-    yield [addr1, addr2]
-    stop1()
-    stop2()
-
-
-def make_runner(backend: str, fleet_addrs, **kwargs) -> SweepRunner:
-    if backend == "tcp":
-        kwargs.setdefault("workers", fleet_addrs)
-        kwargs.setdefault("jobs", 2)
-    elif backend == "process":
-        kwargs.setdefault("jobs", 3)
-    else:
-        kwargs.setdefault("jobs", 1)
+def make_runner(backend: str, **kwargs) -> SweepRunner:
+    kwargs.setdefault("jobs", 3 if backend == "process" else 1)
     return SweepRunner(root_seed=ROOT_SEED, backend=backend, **kwargs)
 
 
-BACKENDS = ("serial", "process", "tcp")
+BACKENDS = ("serial", "process")
 
 
 # -- bit-identical results across backends -----------------------------------
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_backend_matches_serial_reference(backend, fleet):
+def test_backend_matches_serial_reference(backend):
     cells = make_grid()
     reference = SweepRunner(jobs=1, root_seed=ROOT_SEED, backend="serial").run(cells)
-    runner = make_runner(backend, fleet)
+    runner = make_runner(backend)
     results = runner.run(cells)
     assert results == reference
     # Bit-identical, not merely equal: compare the full value payloads.
@@ -103,7 +68,7 @@ def test_backend_matches_serial_reference(backend, fleet):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_backend_matches_serial_under_faults(backend, fleet):
+def test_backend_matches_serial_under_faults(backend):
     """A crash + a permanent error still converge to the same results."""
     plan = FaultPlan.of(
         Fault(kind="crash", cell="grid/0/x", attempts=(1,)),
@@ -113,7 +78,7 @@ def test_backend_matches_serial_under_faults(backend, fleet):
     ref_runner = SweepRunner(jobs=1, root_seed=ROOT_SEED, backend="serial",
                              policy="degrade", fault_plan=plan)
     reference = ref_runner.run(cells)
-    runner = make_runner(backend, fleet, policy="degrade", fault_plan=plan)
+    runner = make_runner(backend, policy="degrade", fault_plan=plan)
     results = runner.run(cells)
     assert results == reference
     assert [r.key for r in runner.last_failures] == ["grid/2/y"]
@@ -121,9 +86,9 @@ def test_backend_matches_serial_under_faults(backend, fleet):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_backend_journal_content_identical(backend, fleet, tmp_path):
+def test_backend_journal_content_identical(backend, tmp_path):
     """The checkpoint journal records the same completed cells with the
-    same payloads regardless of backend (kept alive by a permanent
+    same payloads in-process and on the pool (kept alive by a permanent
     failure under ``degrade``)."""
     plan = FaultPlan.of(Fault(kind="error", cell="grid/3/z", attempts=None))
     cells = make_grid()
@@ -133,7 +98,7 @@ def test_backend_journal_content_identical(backend, fleet, tmp_path):
     journals = {}
     for name, path in ((backend, tmp_path / f"{backend}.journal"),
                        ("serial", tmp_path / "reference.journal")):
-        runner = make_runner(name, fleet, policy="degrade", fault_plan=plan,
+        runner = make_runner(name, policy="degrade", fault_plan=plan,
                              checkpoint=path)
         runner.run(cells)
         journals[path] = SweepJournal(path).load(jid)
@@ -145,173 +110,17 @@ def test_backend_journal_content_identical(backend, fleet, tmp_path):
         assert this[key].value == reference[key].value
 
 
-# -- fleet-specific behavior ---------------------------------------------------
+# -- construction ---------------------------------------------------------------
 
 
-def test_tcp_partition_recovers_on_survivor(fleet):
-    """A partitioned worker drops its connection mid-cell; the runner
-    charges the attempt and finishes the cell on the surviving worker,
-    with results still bit-identical to serial."""
-    plan = FaultPlan.of(Fault(kind="partition", cell="grid/1/y", attempts=(1,)))
-    cells = make_grid()
-    reference = SweepRunner(jobs=1, root_seed=ROOT_SEED, backend="serial").run(cells)
-    runner = make_runner("tcp", fleet, policy="degrade", fault_plan=plan)
-    results = runner.run(cells)
-    assert results == reference
-    assert not runner.last_failures
-    assert runner.last_stats["workers_lost"] == 1
-    assert runner.last_stats["retries"] == 1
-    # Exactly one worker was lost; the other carried the sweep.
-    lost = [w for w in runner.last_worker_health if not w.alive and "lost" in w.detail]
-    assert len(lost) <= 1  # shutdown marks survivors dead with "shut down"
-
-
-def test_tcp_fleet_collapse_degrades_to_serial():
-    """Every worker unreachable → the sweep degrades to in-process
-    execution instead of failing."""
-    cells = make_grid()
-    reference = SweepRunner(jobs=1, root_seed=ROOT_SEED, backend="serial").run(cells)
-    # A port nothing listens on: connection refused for the whole fleet.
-    runner = SweepRunner(root_seed=ROOT_SEED, backend="tcp",
-                         workers=["127.0.0.1:9"],)
-    with pytest.warns(RuntimeWarning, match="backend unavailable"):
-        results = runner.run(cells)
-    assert results == reference
-    assert runner.last_stats["mode"] == "serial-fallback"
-
-
-def test_tcp_mid_sweep_total_loss_degrades_to_serial(fleet):
-    """Both workers partition away mid-sweep: capacity hits zero and the
-    runner finishes the remaining cells in-process."""
-    plan = FaultPlan.of(
-        Fault(kind="partition", cell="grid/0/y", attempts=None),
-        Fault(kind="partition", cell="grid/2/x", attempts=None),
-    )
-    cells = make_grid()
-    reference = SweepRunner(jobs=1, root_seed=ROOT_SEED, backend="serial").run(cells)
-    runner = make_runner("tcp", fleet, policy="degrade", fault_plan=plan,
-                         retry=None)
-    results = runner.run(cells)
-    # Partition faults fire on *every* attempt, but in-process they raise
-    # InjectedPartitionError (no network to cut), so under degrade the two
-    # targeted cells end as failures while every other cell survives.
-    survivors = {r.key: r for r in results if r.ok}
-    for ref in reference:
-        if ref.key in survivors:
-            assert survivors[ref.key] == ref
-    assert runner.last_stats["mode"] == "serial-fallback"
-    assert runner.last_stats["workers_lost"] == 2
-
-
-def test_worker_health_reporting(fleet):
-    runner = make_runner("tcp", fleet)
-    runner.run(make_grid())
-    health = runner.last_worker_health
-    assert len(health) == 2
-    assert {w.worker_id for w in health} == set(fleet)
-    assert sum(w.tasks_done for w in health) == 12
-    assert all(w.current_task is None for w in health)
-
-
-# -- wire version negotiation ---------------------------------------------------
-
-
-@pytest.mark.parametrize("reply", [
-    {"op": "welcome", "version": 99, "pid": 0, "host": "impostor"},
-    {"op": "unsupported", "version": 99, "got": PROTOCOL_VERSION,
-     "error": "nope"},
-])
-def test_version_mismatch_runner_side_fails_fast(reply):
-    """A worker speaking a foreign protocol version (or refusing ours)
-    makes ``TcpFleetBackend.start`` raise :class:`WireProtocolError`
-    naming both versions — never a silent drop or a mid-sweep decode
-    error."""
-    server = socket.create_server(("127.0.0.1", 0))
-    host, port = server.getsockname()
-
-    def impostor() -> None:
-        conn, _peer = server.accept()
-        with conn:
-            recv_message(conn, b"")  # the runner's hello
-            send_message(conn, reply)
-
-    thread = threading.Thread(target=impostor, daemon=True)
-    thread.start()
-    backend = TcpFleetBackend([f"{host}:{port}"])
-    try:
-        with pytest.raises(WireProtocolError) as err:
-            backend.start()
-    finally:
-        server.close()
-    message = str(err.value)
-    assert f"v{PROTOCOL_VERSION}" in message
-    assert "99" in message
-
-
-def test_version_mismatch_worker_side_replies_unsupported():
-    """The worker's half of the same handshake: a ``hello`` with a
-    foreign version is answered with ``unsupported`` naming both
-    versions, then the connection closes."""
-    address, stop = start_thread_worker()
-    host, port = parse_address(address)
-    sock = socket.create_connection((host, port), timeout=5.0)
-    try:
-        send_message(sock, {"op": "hello", "version": 99, "path": []})
-        reply, buffer = recv_message(sock, b"")
-        assert reply is not None and reply["op"] == "unsupported"
-        assert reply["version"] == PROTOCOL_VERSION
-        assert reply["got"] == 99
-        assert f"v{PROTOCOL_VERSION}" in reply["error"]
-        assert "99" in reply["error"]
-        assert recv_message(sock, buffer)[0] is None  # connection closed
-    finally:
-        sock.close()
-        stop()
-
-
-def test_hung_worker_detected_by_heartbeat(fleet):
-    """A frozen worker (connection open, nothing ever sent again — not
-    even pongs) is detected by the heartbeat within two intervals and
-    retired like a lost worker; the cell retries elsewhere and the sweep
-    stays bit-identical."""
-    plan = FaultPlan.of(Fault(kind="freeze", cell="grid/1/x", attempts=(1,)))
-    cells = make_grid()
-    reference = SweepRunner(jobs=1, root_seed=ROOT_SEED, backend="serial").run(cells)
-    backend = TcpFleetBackend(fleet, heartbeat_s=0.15)
-    runner = SweepRunner(root_seed=ROOT_SEED, backend=backend,
-                         policy="degrade", fault_plan=plan,
-                         retry=RetryPolicy(max_attempts=3, backoff_base_s=0.001))
-    results = runner.run(cells)
-    assert results == reference
-    assert not runner.last_failures
-    assert runner.last_stats["workers_hung"] >= 1
-    assert runner.last_stats["retries"] >= 1
-    hung = [w for w in runner.last_worker_health
-            if not w.alive and "heartbeat" in w.detail]
-    assert hung  # the loss is attributed to missed heartbeats, by name
-
-
-# -- construction / registry ---------------------------------------------------
-
-
-def test_make_backend_registry():
-    assert isinstance(make_backend("serial"), SerialBackend)
-    assert make_backend("process", jobs=2).capacity == 2
-    tcp = make_backend("tcp://127.0.0.1:1234,127.0.0.1:1235")
-    assert isinstance(tcp, TcpFleetBackend)
-    assert tcp.addresses == ("127.0.0.1:1234", "127.0.0.1:1235")
-    from repro.errors import ConfigError
-
+def test_unknown_backend_rejected():
     with pytest.raises(ConfigError):
-        make_backend("hovercraft")
-    with pytest.raises(ConfigError):
-        make_backend("tcp")  # no addresses anywhere
+        SweepRunner(backend="tcp")
 
 
 def test_runner_rejects_direct_pool_import():
-    """The acceptance criterion of the refactor: SweepRunner's module no
-    longer touches concurrent.futures — pool mechanics live only in the
-    process backend."""
+    """SweepRunner's module never touches concurrent.futures — pool
+    mechanics live only in the process backend."""
     import repro.runner.runner as runner_module
 
     source = open(runner_module.__file__).read()

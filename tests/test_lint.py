@@ -259,10 +259,22 @@ def test_repo_sources_are_clean():
     assert result.ok, "\n".join(
         f"{f.path}:{f.line} {f.code} {f.message}" for f in result.blocking
     )
-    # The DET closure actually reaches the serialization/transport stack.
-    for module in ("repro.runner.seeding", "repro.runner.backends.wire",
+    # The DET closure actually reaches the serialization/execution stack.
+    for module in ("repro.runner.seeding", "repro.runner.backends.base",
                    "repro.sim.machine"):
         assert module in result.det_scope
+    # Every path the default config names exists: a stale entry would
+    # silently scope (or exempt) nothing, and no finding would say so.
+    config = LintConfig()
+    src = REPO_ROOT / "src"
+    for module in config.det_roots:
+        base = src.joinpath(*module.split("."))
+        assert base.with_suffix(".py").is_file() or (base / "__init__.py").is_file(), module
+    paths = (config.det_core_suffixes
+             + tuple(path for path, _calls in config.det_allowed_calls)
+             + (config.eqv_source[0],) + config.eqv_mirrors + config.ker_suffixes)
+    for suffix in paths:
+        assert (src / suffix).is_file(), suffix
 
 
 def test_empty_baseline_split_blocks_everything():
