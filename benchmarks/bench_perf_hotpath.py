@@ -49,7 +49,6 @@ if str(REPO_ROOT / "benchmarks") not in sys.path:
 
 from repro.dram.mapping import DramCoord
 from repro.presets import small_machine
-from repro.sim.kernels import accel_signature, engine_mode
 from repro.sim.ops import CLFLUSH, COMPUTE, LOAD, STORE
 
 from _common import publish
@@ -242,8 +241,6 @@ def main(argv=None):
     data = {
         "bench": "perf_hotpath",
         "mode": "smoke" if args.smoke else "full",
-        "accel": accel_signature(),
-        "engine": engine_mode(),
         "gate": {"workloads": dict(GATES), "enforced": gate_on},
         "workloads": results,
     }

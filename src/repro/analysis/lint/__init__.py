@@ -10,10 +10,7 @@ bit-identical-results guarantee in this repo rests on:
          serialization core must iterate sorted and ``json.dumps`` with
          ``sort_keys=True``
 ``EQV``  every observable ``Machine.run`` writes on its ``RunResult``
-         must also be written (or aggregated) by the fastpath and turbo
-         engines
-``KER``  ``repro.sim.kernels`` stays integer-exact: no float literals,
-         no true division, no ``math.*``
+         must also be written (or aggregated) by the fast-path engine
 ``ERR``  no broad ``except Exception`` that swallows without re-raising,
          returning, or recording a structured result
 =======  ==============================================================

@@ -4,13 +4,11 @@ from .base import LintContext, Rule
 from .det import DetRule
 from .eqv import EqvRule
 from .err import ErrRule
-from .ker import KerRule
 
 RULES: dict[str, type[Rule]] = {
     DetRule.FAMILY: DetRule,
     EqvRule.FAMILY: EqvRule,
-    KerRule.FAMILY: KerRule,
     ErrRule.FAMILY: ErrRule,
 }
 
-__all__ = ["RULES", "LintContext", "Rule", "DetRule", "EqvRule", "ErrRule", "KerRule"]
+__all__ = ["RULES", "LintContext", "Rule", "DetRule", "EqvRule", "ErrRule"]

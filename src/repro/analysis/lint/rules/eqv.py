@@ -2,11 +2,10 @@
 
 The reference interpreter (``Machine.run``) defines the observable
 surface of an execution: every attribute it writes on its ``RunResult``
-is a promise that ``run_fast`` and ``run_turbo`` reproduce bit-for-bit.
-The runtime equivalence suites check *values*; this rule checks
-*coverage*: a counter added to ``Machine.run`` that no mirror engine
-writes (or aggregates) is flagged before any test can probabilistically
-miss it.
+is a promise that ``run_fast`` reproduces bit-for-bit.  The runtime
+equivalence suite checks *values*; this rule checks *coverage*: a
+counter added to ``Machine.run`` that the mirror engine never writes (or
+aggregates) is flagged before any test can probabilistically miss it.
 
 Mechanically: collect attribute writes (plus constructor keywords) on
 variables bound to ``RunResult(...)`` inside the source method, then
@@ -90,8 +89,8 @@ class EqvRule(Rule):
                             f"{config.eqv_result_class}.{attr} but this engine "
                             "never writes it",
                     hint="mirror (or aggregate) the new observable here so "
-                         "run/run_fast/run_turbo stay bit-identical, then "
-                         "extend the engine-equivalence tests",
+                         "run/run_fast stay bit-identical, then extend the "
+                         "engine-equivalence tests",
                 ))
         return findings
 

@@ -67,18 +67,29 @@ class LintConfig:
     """
 
     #: Rule families to run.
-    rules: tuple[str, ...] = ("DET", "EQV", "KER", "ERR")
+    rules: tuple[str, ...] = ("DET", "EQV", "ERR")
 
     # -- DET: determinism scope ------------------------------------------------
     #: Import-graph roots: the modules that derive seeds, fingerprint code,
-    #: write journal records, or execute cells.  Everything they
-    #: (transitively) import is determinism-scoped.
+    #: write journal records, or execute cells, and the packages whose
+    #: code a cell runs: the simulator and everything the paper's cells
+    #: build on it.  The runner imports none of the latter (cells name
+    #: them by ``module:qualname`` spec), so they are listed explicitly.
+    #: Everything the roots (transitively) import is determinism-scoped.
     det_roots: tuple[str, ...] = (
         "repro.runner.seeding",
         "repro.runner.cache",
         "repro.runner.checkpoint",
         "repro.runner.job",
         "repro.runner.runner",
+        "repro.sim",
+        "repro.core",
+        "repro.attacks",
+        "repro.defenses",
+        "repro.workloads",
+        "repro.exploits",
+        "repro.presets",
+        "repro.sidechannel",
     )
     #: Treat every linted file as DET-scoped and DET-core (fixture trees
     #: and ad-hoc paths, where module names do not resolve).
@@ -103,12 +114,9 @@ class LintConfig:
     #: (file suffix, class name, method name) of the reference engine.
     eqv_source: tuple[str, str, str] = ("repro/sim/machine.py", "Machine", "run")
     #: Files that must mirror every observable the reference writes.
-    eqv_mirrors: tuple[str, ...] = ("repro/sim/fastpath.py", "repro/sim/turbo.py")
+    eqv_mirrors: tuple[str, ...] = ("repro/sim/fastpath.py",)
     #: The result class whose attribute writes are the observables.
     eqv_result_class: str = "RunResult"
-
-    # -- KER: integer-exact kernels --------------------------------------------
-    ker_suffixes: tuple[str, ...] = ("repro/sim/kernels.py",)
 
     # -- ERR: no swallowed exceptions ------------------------------------------
     #: Call names that count as "recording the error into a structured

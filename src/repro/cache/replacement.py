@@ -53,18 +53,6 @@ class ReplacementPolicy(ABC):
         """Restore the just-constructed state (used by the policy probe)."""
         self.__init__(self.ways)  # type: ignore[misc]
 
-    def state_key(self) -> tuple | None:
-        """A hashable canonical form of the replacement state, or None when
-        the policy cannot be snapshotted.
-
-        Two policy instances with equal keys make identical decisions for
-        any future access sequence — the property the turbo engine
-        (:mod:`repro.sim.turbo`) relies on to prove a workload lap is a
-        fixed point.  Canonical means behaviour-preserving relabellings
-        compare equal (e.g. true-LRU stamps vs. their rank order).
-        """
-        return None
-
 
 class TrueLru(ReplacementPolicy):
     """Textbook least-recently-used.
@@ -95,16 +83,6 @@ class TrueLru(ReplacementPolicy):
     def on_invalidate(self, way: int) -> None:
         # An invalidated way becomes the preferred victim.
         self._stamps[way] = -1
-
-    def state_key(self) -> tuple:
-        # Only the recency *order* matters (victim() takes the minimum,
-        # hits move a way to the top), so canonicalise stamps to their
-        # rank; -1 (invalidated) ways stay -1 — ties among them are
-        # symmetric because victim() breaks them by way index, which the
-        # surrounding tag tuple pins down.
-        order = sorted(s for s in self._stamps if s >= 0)
-        rank = {stamp: i for i, stamp in enumerate(order)}
-        return tuple(-1 if s < 0 else rank[s] for s in self._stamps)
 
 
 class BitPlru(ReplacementPolicy):
@@ -143,9 +121,6 @@ class BitPlru(ReplacementPolicy):
     def on_invalidate(self, way: int) -> None:
         self.mru[way] = False
 
-    def state_key(self) -> tuple:
-        return tuple(self.mru)
-
 
 class Nru(ReplacementPolicy):
     """Not-Recently-Used: like Bit-PLRU, but eviction scans from a rotating
@@ -179,9 +154,6 @@ class Nru(ReplacementPolicy):
 
     def on_invalidate(self, way: int) -> None:
         self.ref[way] = False
-
-    def state_key(self) -> tuple:
-        return (tuple(self.ref), self._hand)
 
 
 class TreePlru(ReplacementPolicy):
@@ -225,9 +197,6 @@ class TreePlru(ReplacementPolicy):
                 lo += span
         return lo
 
-    def state_key(self) -> tuple:
-        return tuple(self._bits)
-
 
 class RandomReplacement(ReplacementPolicy):
     """Uniform random victim selection with a seeded, per-set stream."""
@@ -248,12 +217,6 @@ class RandomReplacement(ReplacementPolicy):
 
     def reset(self) -> None:
         self._rng = random.Random(self._seed)
-
-    def state_key(self) -> tuple:
-        # The RNG state is part of the decision state; it is exact and
-        # hashable, so a set with no evictions between two snapshots
-        # still compares equal (the stream only advances on victim()).
-        return self._rng.getstate()
 
 
 class Srrip(ReplacementPolicy):
@@ -282,9 +245,6 @@ class Srrip(ReplacementPolicy):
 
     def on_invalidate(self, way: int) -> None:
         self.rrpv[way] = self.MAX_RRPV
-
-    def state_key(self) -> tuple:
-        return tuple(self.rrpv)
 
 
 _POLICIES = {

@@ -208,222 +208,6 @@ class DramDevice:
                             flips_n += len(flips)
         return latency, flips_n
 
-    def replay_activation(self, row_id: int, row: int, time_cycles: int) -> None:
-        """Disturbance effects of one activation at an exact timestamp,
-        without touching row buffers, latency, or device stats.
-
-        Used by the turbo engine (:mod:`repro.sim.turbo`) to replay the
-        activations of an analytically skipped workload lap: the open-row
-        state is a verified fixed point across the lap and the aggregate
-        stats advance from recorded deltas, so only the disturbance side
-        (aggressor restore + neighbour deposits + flip emission) needs to
-        execute.  The statement sequence below mirrors
-        :meth:`access_miss_fast` exactly — same float accumulation order,
-        same epoch arithmetic, same flip machinery — so skipped and
-        interpreted laps leave bit-identical disturbance state and flips.
-        """
-        engine = self.refresh_engine
-        retention = engine.retention_cycles
-        total_rows = engine.total_rows
-        phase_cache = engine._phase_cache
-        rows_per_bank = self._rows_per_bank
-        tracker = self.tracker
-        state = tracker._state
-
-        # Aggressor restore (tracker.on_refresh with the epoch inlined).
-        phase = phase_cache.get(row_id)
-        if phase is None:
-            phase = (row_id * retention) // total_rows
-            phase_cache[row_id] = phase
-        shifted = time_cycles - phase
-        epoch = 0 if shifted < 0 else 1 + shifted // retention
-        entry = state.get(row_id)
-        if entry is None:
-            state[row_id] = [0.0, epoch, 0]
-        else:
-            entry[0] = 0.0
-            entry[1] = epoch
-
-        # Neighbour disturbance (tracker.disturb inlined per victim).
-        disturbance = self.config.disturbance
-        max_flips = disturbance.max_flips_per_row
-        threshold_get = self.cells._threshold_cache.get
-        distance = 0
-        for weight in disturbance.neighbor_weights:
-            distance += 1
-            for delta in (-distance, distance):
-                victim_row = row + delta
-                if not 0 <= victim_row < rows_per_bank:
-                    continue
-                victim_id = row_id + delta
-                phase = phase_cache.get(victim_id)
-                if phase is None:
-                    phase = (victim_id * retention) // total_rows
-                    phase_cache[victim_id] = phase
-                shifted = time_cycles - phase
-                vepoch = 0 if shifted < 0 else 1 + shifted // retention
-                entry = state.get(victim_id)
-                if entry is None:
-                    entry = [weight, vepoch, 0]
-                    state[victim_id] = entry
-                elif entry[1] != vepoch:
-                    entry[0] = weight
-                    entry[1] = vepoch
-                else:
-                    entry[0] += weight
-                tracker.total_units_deposited += weight
-                if entry[2] < max_flips:
-                    threshold = threshold_get(victim_id)
-                    if threshold is None:
-                        threshold = self.cells.threshold_for(victim_id)
-                    if entry[0] >= threshold:
-                        flips = tracker.emit_flips(victim_id, entry, time_cycles)
-                        if flips:
-                            row_flips = self._row_flips
-                            bucket = row_flips.get(victim_id)
-                            if bucket is None:
-                                row_flips[victim_id] = list(flips)
-                            else:
-                                bucket.extend(flips)
-
-    def replay_activations(self, row_ids, rows, times) -> None:
-        """Batched :meth:`replay_activation` over a whole skipped batch.
-
-        Semantically identical — same statement order per activation,
-        same float accumulation order, same dict insertion orders, so
-        disturbance state and flips stay bit-for-bit equal to replaying
-        one activation at a time — but the per-activation overhead is
-        amortised across the batch:
-
-        - every device/tracker attribute is hoisted into a local once
-          per batch instead of once per activation;
-        - the neighbour fanout (bounds-checked ``(victim_id, weight)``
-          pairs) is computed once per distinct aggressor row, not per
-          activation — the hammer loop reactivates the same two rows
-          hundreds of thousands of times;
-        - the retention-epoch division is memoised per row with its
-          validity window ``[lo, hi)``: consecutive activations of a row
-          almost always land in the same epoch, so the ``//`` runs only
-          on a window crossing;
-        - the deposit check compares against the victim's *next-flip*
-          threshold (``flip_threshold(row, flips_done)``) instead of its
-          first-bit threshold, memoised until a flip is emitted — which
-          skips the no-op ``emit_flips`` calls the scalar path makes once
-          a row has flipped but not yet reached its next, higher
-          threshold.  ``emit_flips`` below the next-flip threshold
-          mutates nothing, so the elision is observationally identical.
-
-        ``times`` must be non-decreasing *per row* in replay order (the
-        turbo engine's schedules are globally non-decreasing), which the
-        epoch memo's two-sided window check also tolerates violating —
-        it recomputes whenever ``t`` leaves the cached window.
-        """
-        engine = self.refresh_engine
-        retention = engine.retention_cycles
-        total_rows = engine.total_rows
-        phase_cache = engine._phase_cache
-        rows_per_bank = self._rows_per_bank
-        tracker = self.tracker
-        state = tracker._state
-        disturbance = self.config.disturbance
-        max_flips = disturbance.max_flips_per_row
-        neighbor_weights = disturbance.neighbor_weights
-        flip_threshold = self.cells.flip_threshold
-        emit_flips = tracker.emit_flips
-        row_flips = self._row_flips
-        state_get = state.get
-        units = tracker.total_units_deposited
-        epochs: dict[int, list[int]] = {}
-        fanout: dict[int, tuple[tuple[int, float], ...]] = {}
-        next_thr: dict[int, float] = {}
-        inf = float("inf")
-
-        for row_id, row, time_cycles in zip(row_ids, rows, times):
-            # Aggressor restore (epoch via the memoised window).
-            memo = epochs.get(row_id)
-            if memo is not None and memo[1] <= time_cycles < memo[2]:
-                epoch = memo[0]
-            else:
-                phase = phase_cache.get(row_id)
-                if phase is None:
-                    phase = (row_id * retention) // total_rows
-                    phase_cache[row_id] = phase
-                shifted = time_cycles - phase
-                if shifted < 0:
-                    epoch = 0
-                    memo = [0, 0, phase]
-                else:
-                    epoch = 1 + shifted // retention
-                    lo = phase + (epoch - 1) * retention
-                    memo = [epoch, lo, lo + retention]
-                epochs[row_id] = memo
-            entry = state_get(row_id)
-            if entry is None:
-                state[row_id] = [0.0, epoch, 0]
-            else:
-                entry[0] = 0.0
-                entry[1] = epoch
-
-            # Neighbour disturbance over the cached fanout.
-            victims = fanout.get(row_id)
-            if victims is None:
-                pairs = []
-                distance = 0
-                for weight in neighbor_weights:
-                    distance += 1
-                    for delta in (-distance, distance):
-                        if 0 <= row + delta < rows_per_bank:
-                            pairs.append((row_id + delta, weight))
-                victims = tuple(pairs)
-                fanout[row_id] = victims
-            for victim_id, weight in victims:
-                memo = epochs.get(victim_id)
-                if memo is not None and memo[1] <= time_cycles < memo[2]:
-                    vepoch = memo[0]
-                else:
-                    phase = phase_cache.get(victim_id)
-                    if phase is None:
-                        phase = (victim_id * retention) // total_rows
-                        phase_cache[victim_id] = phase
-                    shifted = time_cycles - phase
-                    if shifted < 0:
-                        vepoch = 0
-                        memo = [0, 0, phase]
-                    else:
-                        vepoch = 1 + shifted // retention
-                        lo = phase + (vepoch - 1) * retention
-                        memo = [vepoch, lo, lo + retention]
-                    epochs[victim_id] = memo
-                entry = state_get(victim_id)
-                if entry is None:
-                    entry = [weight, vepoch, 0]
-                    state[victim_id] = entry
-                elif entry[1] != vepoch:
-                    entry[0] = weight
-                    entry[1] = vepoch
-                else:
-                    entry[0] += weight
-                units += weight
-                threshold = next_thr.get(victim_id)
-                if threshold is None:
-                    threshold = (flip_threshold(victim_id, entry[2])
-                                 if entry[2] < max_flips else inf)
-                    next_thr[victim_id] = threshold
-                if entry[0] >= threshold:
-                    flips = emit_flips(victim_id, entry, time_cycles)
-                    next_thr[victim_id] = (
-                        flip_threshold(victim_id, entry[2])
-                        if entry[2] < max_flips else inf)
-                    if flips:
-                        bucket = row_flips.get(victim_id)
-                        if bucket is None:
-                            row_flips[victim_id] = list(flips)
-                        else:
-                            bucket.extend(flips)
-        # Accumulated in replay order starting from the tracker's current
-        # value, so the float result is bit-identical to per-victim ``+=``.
-        tracker.total_units_deposited = units
-
     def _activate(self, coord: DramCoord, time_cycles: int) -> list[BitFlip]:
         """Row activation: restore this row, disturb its neighbours."""
         engine = self.refresh_engine

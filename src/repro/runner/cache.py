@@ -27,14 +27,12 @@ from pathlib import Path
 from typing import Any
 
 from ..errors import CacheCorruptionError
-from ..sim import kernels
 from .seeding import stable_digest
 
 #: Memoised source fingerprints, keyed by directory/file path.  Each
 #: entry pairs the digest with the stat signature (mtimes + sizes) it was
 #: computed from, so a long-lived process re-hashes exactly when sources
-#: change on disk instead of serving a stale fingerprint forever (the
-#: future service mode must never serve cache hits against edited code).
+#: change on disk instead of serving a stale fingerprint forever.
 _fingerprints: dict[str, tuple[tuple, str]] = {}
 
 #: Entry format: MAGIC + sha256(payload)[:CHECKSUM_BYTES] + payload.
@@ -101,9 +99,9 @@ def invalidate_fingerprints(path: str | os.PathLike | None = None) -> None:
     """Drop memoised code fingerprints (all of them, or one path's).
 
     The memo self-invalidates on mtime/size changes; this is the explicit
-    big hammer for callers that need a guaranteed re-hash (a service mode
-    reloading code, or tests that rewrite sources in place within the
-    filesystem's mtime granularity)."""
+    big hammer for callers that need a guaranteed re-hash, such as tests
+    that rewrite sources in place within the filesystem's mtime
+    granularity."""
     if path is None:
         _fingerprints.clear()
     else:
@@ -111,26 +109,20 @@ def invalidate_fingerprints(path: str | os.PathLike | None = None) -> None:
 
 
 def code_fingerprint(extra_module_file: str | None = None) -> str:
-    """Hex digest of the ``repro`` sources (+ one extra module's source),
-    suffixed with the active execution engine and kernel mode.
+    """Hex digest of the ``repro`` sources (+ one extra module's source).
 
-    The source tree digest is memoised per path against a stat signature
-    (every file's mtime + size), so a long-lived process that edits — or
-    hot-reloads — sources gets a fresh fingerprint on the next call
-    rather than serving stale cache hits; :func:`invalidate_fingerprints`
-    forces it.  The engine/accel suffix is re-read per call
-    (``REPRO_ENGINE`` / ``REPRO_ACCEL`` plus numpy's presence and
-    version), so cache entries produced under different engines or kernel
-    backends never alias even though all engines promise bit-identical
-    results — a fingerprint mismatch is a recompute, never a wrong
-    answer.
+    Only source digests go in: both engines are bit-identical, so no
+    environment setting can change a cell's result.  The source tree
+    digest is memoised per path against a stat signature (every file's
+    mtime + size), so a long-lived process that edits — or hot-reloads —
+    sources gets a fresh fingerprint on the next call rather than
+    serving stale cache hits; :func:`invalidate_fingerprints` forces it.
     """
     package_root = Path(__file__).resolve().parent.parent
     tree = _tree_fingerprint(package_root)
-    mode = f"{kernels.engine_mode()}-{kernels.accel_signature()}"
     if not extra_module_file:
-        return f"{tree}-{mode}"
-    return f"{tree}-{_file_fingerprint(extra_module_file)}-{mode}"
+        return tree
+    return f"{tree}-{_file_fingerprint(extra_module_file)}"
 
 
 def encode_entry(value: Any) -> bytes:

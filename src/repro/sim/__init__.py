@@ -24,10 +24,8 @@ from .ops import (
 )
 from .machine import Machine, MachineConfig
 from .results import RunResult
-from .turbo import AccessProgram, TurboStats
 
 __all__ = [
-    "AccessProgram",
     "CLFLUSH",
     "COMPUTE",
     "LOAD",
@@ -37,7 +35,6 @@ __all__ = [
     "Op",
     "PAIR_LOAD",
     "RunResult",
-    "TurboStats",
     "STORE",
     "clflush",
     "compute",

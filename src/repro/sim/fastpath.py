@@ -5,11 +5,7 @@ interprets an op stream with **bit-for-bit identical** architectural
 outcomes to the reference ``Machine.execute`` loop — same ``RunResult``
 fields, PMU counter values, PEBS sample stream, cache and
 replacement-policy state, DRAM/controller statistics, and bit flips — but
-several times faster.  This is the middle of the three execution tiers
-(exact :meth:`~repro.sim.machine.Machine.run`, fastpath, analytic
-fast-forward): :mod:`repro.sim.turbo` builds on this engine, using it for
-the exact "island" laps around detector decision points while skipping
-steady-state laps entirely.  Three mechanisms provide the speedup here:
+several times faster.  Three mechanisms provide the speedup:
 
 1. **Batched interpretation with hoisted state.**  All per-access state
    (TLB dict, per-level cache sets, latencies, deferred counters, the

@@ -12,8 +12,6 @@ the time; h264ref, gobmk, sjeng and hmmer less than 10%).
 """
 
 from .generators import (
-    ClosedFormStats,
-    HammerWorkload,
     MixedWorkload,
     PointerChaseWorkload,
     RandomAccessWorkload,
@@ -26,8 +24,6 @@ from .background import BackgroundMix, interleave
 
 __all__ = [
     "BackgroundMix",
-    "ClosedFormStats",
-    "HammerWorkload",
     "MixedWorkload",
     "PointerChaseWorkload",
     "RandomAccessWorkload",

@@ -18,48 +18,13 @@ archetypes that matter to a rowhammer detector:
 
 from __future__ import annotations
 
-import math
 import random
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import Iterator
 
 from ..sim.machine import Machine
-from ..sim.ops import Op, clflush, compute, load, store
-from ..sim.turbo import AccessProgram
+from ..sim.ops import Op, compute, load, store
 from ..units import MB
-
-#: Defaults for :meth:`Workload.closed_form`: the small-machine LLC and
-#: the physical contiguity granule (one 4 KiB page under scrambled
-#: placement; pass the row size instead for linear placement).
-DEFAULT_LLC_BYTES = 3 * MB
-DEFAULT_LINE_BYTES = 64
-DEFAULT_GRANULE_BYTES = 4096
-
-
-@dataclass(frozen=True)
-class ClosedFormStats:
-    """Analytic steady-state statistics of a generator — the parameters
-    the fast-forward tier's consumers (benches, sweeps) reason with, and
-    what the property tests pin against long empirical runs.
-
-    ``miss_rate`` is expected LLC misses per *memory* access;
-    ``row_locality`` is the expected fraction of DRAM accesses served by
-    an already-open row buffer (0.0 when the workload produces no DRAM
-    traffic).  ``mpki`` derives misses per 1000 *executed ops* (think
-    ops included), matching PMU-counter arithmetic.
-    """
-
-    miss_rate: float
-    row_locality: float
-    mem_ops_per_period: int
-    ops_per_period: int
-
-    @property
-    def mpki(self) -> float:
-        if not self.ops_per_period:
-            return 0.0
-        return 1000.0 * self.miss_rate * self.mem_ops_per_period / self.ops_per_period
 
 
 class Workload(ABC):
@@ -105,52 +70,6 @@ class Workload(ABC):
             if think:
                 yield compute(think)
 
-    def _steady_offsets(self) -> list[int] | None:
-        """One full period of :meth:`_addresses` as a concrete offset
-        list, or None when the stream is aperiodic."""
-        return None
-
-    def steady_program(self) -> AccessProgram | None:
-        """One exact period of :meth:`ops`, or None when aperiodic.
-
-        The turbo engine (:meth:`Machine.run_turbo`) fast-forwards a
-        workload only when its stream is declared periodic here; cycling
-        the returned program must reproduce :meth:`ops` verbatim (the
-        equivalence suite asserts this per generator).  A nonzero
-        ``store_fraction`` breaks periodicity — the load/store decision
-        is an independent RNG draw per access — so it disables the
-        program.
-        """
-        if self.store_fraction:
-            return None
-        offsets = self._steady_offsets()
-        if offsets is None:
-            return None
-        if not self.prepared:
-            raise RuntimeError("call prepare(machine) before steady_program()")
-        base = self._base
-        think = self.think_cycles
-        ops: list[Op] = []
-        for offset in offsets:
-            ops.append(load(base + offset))
-            if think:
-                ops.append(compute(think))
-        return AccessProgram(ops=ops, description=f"{self.name} period")
-
-    def closed_form(
-        self,
-        llc_bytes: int = DEFAULT_LLC_BYTES,
-        line_bytes: int = DEFAULT_LINE_BYTES,
-        granule_bytes: int = DEFAULT_GRANULE_BYTES,
-    ) -> ClosedFormStats | None:
-        """Analytic steady-state statistics against a given LLC size and
-        physical contiguity granule, or None when no closed form exists
-        (mixed/aperiodic compositions)."""
-        return None
-
-    def _ops_per_period(self, mem_ops: int) -> int:
-        return mem_ops * 2 if self.think_cycles else mem_ops
-
 
 class StreamWorkload(Workload):
     """Sequential scan with a fixed stride, wrapping around the buffer."""
@@ -171,41 +90,6 @@ class StreamWorkload(Workload):
             yield offset
             offset = (offset + self.stride) % self.buffer_bytes
 
-    def _steady_offsets(self) -> list[int]:
-        # The walk returns to offset 0 after buffer/gcd(stride, buffer)
-        # steps — one full period.
-        period = self.buffer_bytes // math.gcd(self.stride, self.buffer_bytes)
-        offsets = []
-        offset = 0
-        for _ in range(period):
-            offsets.append(offset)
-            offset = (offset + self.stride) % self.buffer_bytes
-        return offsets
-
-    def closed_form(self, llc_bytes=DEFAULT_LLC_BYTES,
-                    line_bytes=DEFAULT_LINE_BYTES,
-                    granule_bytes=DEFAULT_GRANULE_BYTES) -> ClosedFormStats:
-        period = self.buffer_bytes // math.gcd(self.stride, self.buffer_bytes)
-        stride_eff = max(self.stride, line_bytes)
-        if self.buffer_bytes <= llc_bytes:
-            # Fits in cache: after one warm-up lap, nothing misses.
-            miss_rate, locality = 0.0, 0.0
-        else:
-            # Cyclic reuse beyond LLC capacity: every distinct line misses
-            # once per touch; sub-line strides revisit each line
-            # line/stride times, missing on the first touch only.
-            miss_rate = min(1.0, self.stride / line_bytes)
-            # Misses walk the address space sequentially: one activation
-            # per contiguity granule, every other access in the granule a
-            # row-buffer hit.
-            locality = max(0.0, 1.0 - stride_eff / granule_bytes)
-        return ClosedFormStats(
-            miss_rate=miss_rate,
-            row_locality=locality,
-            mem_ops_per_period=period,
-            ops_per_period=self._ops_per_period(period),
-        )
-
 
 class RandomAccessWorkload(Workload):
     """Uniform random line accesses over a working set."""
@@ -225,20 +109,6 @@ class RandomAccessWorkload(Workload):
         lines = self.working_set_bytes // self.line
         while True:
             yield rng.randrange(lines) * self.line
-
-    def closed_form(self, llc_bytes=DEFAULT_LLC_BYTES,
-                    line_bytes=DEFAULT_LINE_BYTES,
-                    granule_bytes=DEFAULT_GRANULE_BYTES) -> ClosedFormStats:
-        # Uniform random over the working set: in steady state the LLC
-        # holds llc/ws of the set, so that fraction of accesses hit.
-        miss_rate = max(0.0, 1.0 - llc_bytes / self.working_set_bytes)
-        # Scattered misses essentially never land in an open row.
-        return ClosedFormStats(
-            miss_rate=miss_rate,
-            row_locality=0.0,
-            mem_ops_per_period=1,
-            ops_per_period=self._ops_per_period(1),
-        )
 
 
 class PointerChaseWorkload(Workload):
@@ -262,28 +132,6 @@ class PointerChaseWorkload(Workload):
         while True:
             yield lines[position] * self.line
             position = (position + 1) % len(lines)
-
-    def _steady_offsets(self) -> list[int]:
-        # Reconstruct the exact permutation _addresses() walks.
-        rng = random.Random(self.seed)
-        lines = list(range(self.working_set_bytes // self.line))
-        rng.shuffle(lines)
-        return [line * self.line for line in lines]
-
-    def closed_form(self, llc_bytes=DEFAULT_LLC_BYTES,
-                    line_bytes=DEFAULT_LINE_BYTES,
-                    granule_bytes=DEFAULT_GRANULE_BYTES) -> ClosedFormStats:
-        period = self.working_set_bytes // self.line
-        # A permutation cycle is a reuse loop over the whole working set:
-        # beyond LLC capacity everything misses, and the shuffled order
-        # destroys any row locality.
-        miss_rate = 1.0 if self.working_set_bytes > llc_bytes else 0.0
-        return ClosedFormStats(
-            miss_rate=miss_rate,
-            row_locality=0.0,
-            mem_ops_per_period=period,
-            ops_per_period=self._ops_per_period(period),
-        )
 
 
 class ThrashWorkload(Workload):
@@ -312,116 +160,6 @@ class ThrashWorkload(Workload):
         while True:
             yield offset * self.line
             offset = (offset + 1) % lines
-
-    def _steady_offsets(self) -> list[int]:
-        lines = self.footprint_bytes // self.line
-        return [index * self.line for index in range(lines)]
-
-    def closed_form(self, llc_bytes=DEFAULT_LLC_BYTES,
-                    line_bytes=DEFAULT_LINE_BYTES,
-                    granule_bytes=DEFAULT_GRANULE_BYTES) -> ClosedFormStats:
-        period = self.footprint_bytes // self.line
-        miss_rate = 1.0 if self.footprint_bytes > llc_bytes else 0.0
-        locality = (
-            max(0.0, 1.0 - self.line / granule_bytes) if miss_rate else 0.0
-        )
-        return ClosedFormStats(
-            miss_rate=miss_rate,
-            row_locality=locality,
-            mem_ops_per_period=period,
-            ops_per_period=self._ops_per_period(period),
-        )
-
-
-class HammerWorkload(Workload):
-    """The paper's CLFLUSH hammer loop (Section 2.1) as a workload.
-
-    Each lap loads ``aggressors`` addresses that share a bank but sit in
-    distinct rows, flushing every line immediately after the load, so all
-    accesses reach DRAM and each one closes the previous row — maximum
-    activation rate on the victim bank.  ``prepare`` scans the allocated
-    buffer's pages (via the pagemap path, like the attacker would) for a
-    bank with enough distinct rows.
-
-    Besides being the detector's true-positive generator, this is the
-    showcase for the fast-forward tier: the lap is a handful of ops and
-    leaves no cache residue behind (the flushes undo the fills), so the
-    boundary state cycles almost immediately.
-    """
-
-    name = "hammer"
-
-    def __init__(self, aggressors: int = 2, span_bytes: int = 4 * MB, **kwargs):
-        super().__init__(**kwargs)
-        if aggressors < 1:
-            raise ValueError("need at least one aggressor")
-        if kwargs.get("store_fraction"):
-            raise ValueError("hammer loop is load+clflush only")
-        self.aggressors = aggressors
-        self.span_bytes = span_bytes
-        self._targets: list[int] = []
-
-    def _length_bytes(self) -> int:
-        return self.span_bytes
-
-    def _addresses(self) -> Iterator[int]:
-        while True:
-            for vaddr in self._targets:
-                yield vaddr - self._base
-
-    def prepare(self, machine: Machine) -> None:
-        if self.prepared:
-            return
-        super().prepare(machine)
-        page = machine.memory.vm.config.page_bytes
-        by_bank: dict[tuple[int, int], dict[int, int]] = {}
-        for vaddr in range(self._base, self._base + self.span_bytes, page):
-            coord = machine.memory.row_of_vaddr(vaddr)
-            rows = by_bank.setdefault((coord.rank, coord.bank), {})
-            rows.setdefault(coord.row, vaddr)
-            if len(rows) >= self.aggressors:
-                self._targets = sorted(rows.values())[: self.aggressors]
-                return
-        raise RuntimeError(
-            f"no bank exposes {self.aggressors} distinct rows within "
-            f"{self.span_bytes} bytes; enlarge span_bytes"
-        )
-
-    def _lap_ops(self) -> list[Op]:
-        ops: list[Op] = []
-        think = self.think_cycles
-        for vaddr in self._targets:
-            ops.append(load(vaddr))
-            ops.append(clflush(vaddr))
-            if think:
-                ops.append(compute(think))
-        return ops
-
-    def ops(self) -> Iterator[Op]:
-        if not self.prepared:
-            raise RuntimeError("call prepare(machine) before ops()")
-        lap = self._lap_ops()
-        while True:
-            yield from lap
-
-    def steady_program(self) -> AccessProgram:
-        if not self.prepared:
-            raise RuntimeError("call prepare(machine) before steady_program()")
-        return AccessProgram(ops=self._lap_ops(), description=f"{self.name} period")
-
-    def closed_form(self, llc_bytes=DEFAULT_LLC_BYTES,
-                    line_bytes=DEFAULT_LINE_BYTES,
-                    granule_bytes=DEFAULT_GRANULE_BYTES) -> ClosedFormStats:
-        # Every load misses (its line was just flushed); with one
-        # aggressor the bank's row stays open, with several they evict
-        # each other's row buffer on every single access.
-        ops_per_period = self.aggressors * (2 + (1 if self.think_cycles else 0))
-        return ClosedFormStats(
-            miss_rate=1.0,
-            row_locality=1.0 if self.aggressors == 1 else 0.0,
-            mem_ops_per_period=self.aggressors,
-            ops_per_period=ops_per_period,
-        )
 
 
 class MixedWorkload(Workload):

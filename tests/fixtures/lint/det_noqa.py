@@ -22,4 +22,4 @@ def jitter():
 
 
 def entropy():
-    return os.urandom(8)  # repro: noqa[DET, KER]
+    return os.urandom(8)  # repro: noqa[DET, ERR]

@@ -1,9 +1,8 @@
-"""Fixture mirror engine that covers every observable (clean)."""
+"""Fixture mirror engine missing the phantom observable (EQV001)."""
 
 from .machine import RunResult
 
 
 def run_fast(n):
     result = RunResult(cycles=n, ops=n)
-    result.phantom_counter = n * 2
     return result

@@ -1,4 +1,4 @@
-"""Fixture reference engine: writes one observable no mirror covers."""
+"""Fixture reference engine: writes one observable the mirror misses."""
 
 
 class RunResult:

@@ -10,7 +10,9 @@ device statistics, open-row state, and bit flips.
 Streams are seeded random blends of every op kind, plus the hammer kernel
 (which reaches DRAM, activates rows, and flips bits), with and without
 ANVIL armed (timers + PEBS sampling + selective refresh), plus the
-stop-condition and TLB-remap corners.
+stop-condition and TLB-remap corners, plus workload-generator streams and
+the hook-driven slow path (a bare access hook, and the ``BackgroundMix``
+co-runner injector that the heavy-load experiments attach).
 """
 
 from __future__ import annotations
@@ -26,8 +28,15 @@ from repro.dram.mapping import DramCoord
 from repro.pmu import Event
 from repro.presets import small_machine
 from repro.sim.ops import CLFLUSH, COMPUTE, LOAD, MFENCE, PAIR_LOAD, STORE
+from repro.workloads import (
+    BackgroundMix,
+    PointerChaseWorkload,
+    RandomAccessWorkload,
+    StreamWorkload,
+)
 
 PAGE = 4096
+KB = 1024
 
 
 def random_ops(seed: int, n: int, pages: int = 32) -> list:
@@ -52,18 +61,19 @@ def random_ops(seed: int, n: int, pages: int = 32) -> list:
     return ops
 
 
-def hammer_ops(machine, n: int) -> list:
-    """LOAD A / LOAD B / CLFLUSH A / CLFLUSH B in one bank (aggressors)."""
+def hammer_ops(machine, n: int, think: int = 0) -> list:
+    """LOAD A / LOAD B / CLFLUSH A / CLFLUSH B in one bank (aggressors),
+    plus ``think`` compute cycles per round when nonzero."""
     vaddrs = (0x10000, 0x20000)
     for vaddr, row in zip(vaddrs, (1, 5)):
         coord = DramCoord(rank=0, bank=0, row=row, col=0)
         paddr = machine.memory.controller.mapping.encode(coord)
         machine.memory.vm.map_fixed(vaddr, paddr & ~(PAGE - 1))
     va, vb = vaddrs
-    ops = []
-    for _ in range(n // 4):
-        ops += [(LOAD, va), (LOAD, vb), (CLFLUSH, va), (CLFLUSH, vb)]
-    return ops
+    round_ops = [(LOAD, va), (LOAD, vb), (CLFLUSH, va), (CLFLUSH, vb)]
+    if think:
+        round_ops.append((COMPUTE, think))
+    return round_ops * (n // len(round_ops))
 
 
 def result_tuple(result):
@@ -118,12 +128,20 @@ def build_machine(anvil: bool = False, threshold_min: int | None = None):
     return machine
 
 
-def run_twins(build_ops, *, anvil=False, threshold_min=None, map_pages=0,
-              max_cycles=None, until_misses=None, check_every=64):
-    """Run the same stream through both paths; return (results, snapshots)."""
+def run_twins(build_ops, *, anvil=False, background=False, threshold_min=None,
+              map_pages=0, max_cycles=None, until_misses=None, check_every=64):
+    """Run the same stream through both paths; return (results, snapshots).
+
+    ``background`` attaches the heavy-load co-runner mix to each twin and
+    adds its injected-op count to the snapshot.
+    """
     outcomes = []
     for fast in (False, True):
         machine = build_machine(anvil=anvil, threshold_min=threshold_min)
+        mix = None
+        if background:
+            mix = BackgroundMix()
+            mix.attach(machine)
         for p in range(map_pages):
             machine.memory.vm.map_fixed(p * PAGE, p * PAGE)
         ops = build_ops(machine) if callable(build_ops) else build_ops
@@ -134,7 +152,10 @@ def run_twins(build_ops, *, anvil=False, threshold_min=None, map_pages=0,
         runner = machine.run_fast if fast else machine.run
         result = runner(ops, max_cycles=max_cycles, until=until,
                         check_every=check_every)
-        outcomes.append((result_tuple(result), state_snapshot(machine)))
+        snapshot = state_snapshot(machine)
+        if mix is not None:
+            snapshot["injected_ops"] = mix.injected_ops
+        outcomes.append((result_tuple(result), snapshot))
     return outcomes
 
 
@@ -228,3 +249,61 @@ def test_flush_all_mid_run_equivalent():
         return random_ops(11, 3000)
 
     assert_equivalent(run_twins(build, map_pages=32))
+
+
+def workload_ops(workload, machine):
+    """Prepare ``workload`` on ``machine`` and return its infinite op
+    stream (``max_cycles`` ends the run)."""
+    workload.prepare(machine)
+    return workload.ops()
+
+
+def hooked_hammer_ops(machine):
+    """Hammer with a no-op access hook registered, which keeps the fast
+    path on its per-access slow path for the whole run."""
+    machine.add_access_hook(lambda record, cycles: None)
+    return hammer_ops(machine, 20_000, think=120)
+
+
+#: Engine-comparison rows: (op-stream builder, ``run_twins`` options).
+ENGINE_ROWS = {
+    "stream-cache-resident": (
+        lambda m: workload_ops(StreamWorkload(buffer_bytes=512 * KB, seed=1), m),
+        {"max_cycles": 4_000_000},
+    ),
+    "stream-store-fraction": (
+        lambda m: workload_ops(StreamWorkload(buffer_bytes=256 * KB,
+                                              store_fraction=0.25, seed=4), m),
+        {"max_cycles": 2_000_000},
+    ),
+    "random-access": (
+        lambda m: workload_ops(RandomAccessWorkload(working_set_bytes=1024 * KB,
+                                                    seed=2), m),
+        {"max_cycles": 2_000_000},
+    ),
+    # 6M cycles spans more than two 1 ms (2.6M-cycle) stage-1 windows.
+    "pointer-chase-anvil": (
+        lambda m: workload_ops(PointerChaseWorkload(working_set_bytes=128 * KB,
+                                                    seed=3), m),
+        {"anvil": True, "max_cycles": 6_000_000},
+    ),
+    "hammer-think": (
+        lambda m: hammer_ops(m, 40_000, think=120),
+        {"threshold_min": 2_000},
+    ),
+    "hammer-access-hook": (hooked_hammer_ops, {"threshold_min": 2_000}),
+    "hammer-background": (
+        lambda m: hammer_ops(m, 40_000),
+        {"background": True},
+    ),
+    "hammer-background-anvil": (
+        lambda m: hammer_ops(m, 40_000),
+        {"background": True, "anvil": True},
+    ),
+}
+
+
+@pytest.mark.parametrize("row", sorted(ENGINE_ROWS))
+def test_engine_rows_equivalent(row):
+    build_ops, options = ENGINE_ROWS[row]
+    assert_equivalent(run_twins(build_ops, **options))

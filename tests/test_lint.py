@@ -5,7 +5,7 @@ each; tests assert golden finding codes, noqa suppression, baseline
 round-trips, CLI exit codes, and — most importantly — that the linter
 passes clean on the repo's own sources (the self-gate CI relies on) and
 *fails* when a phantom observable is added to the real ``Machine.run``
-without being mirrored in the turbo engine.
+without being mirrored in the fast-path engine.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ def test_det_noqa_suppresses_every_finding():
 
 def test_det_noqa_wrong_family_does_not_suppress(tmp_path):
     target = tmp_path / "wrong_family.py"
-    target.write_text("import time\nSTAMP = time.time()  # repro: noqa[KER]\n")
+    target.write_text("import time\nSTAMP = time.time()  # repro: noqa[ERR]\n")
     config = LintConfig(rules=("DET",), det_all=True)
     result = run_lint([target], config=config)
     assert codes(result.blocking) == ["DET003"]
@@ -84,13 +84,7 @@ def test_det_scope_excludes_unreachable_modules(tmp_path):
     assert result.ok
 
 
-# ---------------------------------------------------------------- KER / ERR
-
-
-def test_ker_fixture_golden():
-    config = LintConfig(rules=("KER",), ker_suffixes=("ker_violation.py",))
-    result = run_lint([FIXTURES / "ker_violation.py"], config=config)
-    assert codes(result.blocking) == ["KER001", "KER002", "KER003"]
+# ---------------------------------------------------------------- ERR
 
 
 def test_err_fixture_flags_only_swallowed():
@@ -108,7 +102,7 @@ def test_err_fixture_flags_only_swallowed():
 EQV_FIXTURE_CONFIG = LintConfig(
     rules=("EQV",),
     eqv_source=("sim/machine.py", "Machine", "run"),
-    eqv_mirrors=("sim/fastpath.py", "sim/turbo.py"),
+    eqv_mirrors=("sim/fastpath.py",),
 )
 
 
@@ -116,14 +110,14 @@ def test_eqv_fixture_missing_observable():
     result = run_lint([FIXTURES / "eqv_bad"], config=EQV_FIXTURE_CONFIG)
     assert codes(result.blocking) == ["EQV001"]
     (finding,) = result.blocking
-    assert finding.path.endswith("turbo.py")
+    assert finding.path.endswith("fastpath.py")
     assert "phantom_counter" in finding.message
 
 
 def _copy_sim_tree(tmp_path: Path) -> Path:
     tree = tmp_path / "sim"
     tree.mkdir()
-    for name in ("machine.py", "fastpath.py", "turbo.py"):
+    for name in ("machine.py", "fastpath.py"):
         shutil.copy(SIM_DIR / name, tree / name)
     return tree
 
@@ -136,7 +130,7 @@ def test_eqv_real_engines_are_clean(tmp_path):
 
 def test_eqv_catches_phantom_counter_in_real_machine(tmp_path):
     # The acceptance demo: add an observable to the *real* Machine.run
-    # that neither fast engine mirrors — the rule must flag both mirrors.
+    # that the fast path does not mirror — the rule must flag it.
     tree = _copy_sim_tree(tmp_path)
     machine = tree / "machine.py"
     text = machine.read_text()
@@ -147,10 +141,9 @@ def test_eqv_catches_phantom_counter_in_real_machine(tmp_path):
     ))
     result = run_lint([tree], config=EQV_FIXTURE_CONFIG)
     assert codes(result.blocking) == ["EQV001"]
-    assert sorted(f.path.rsplit("/", 1)[-1] for f in result.blocking) == [
-        "fastpath.py", "turbo.py",
-    ]
-    assert all("phantom_counter" in f.message for f in result.blocking)
+    (finding,) = result.blocking
+    assert finding.path.endswith("fastpath.py")
+    assert "phantom_counter" in finding.message
 
 
 # ---------------------------------------------------------------- baseline
@@ -259,9 +252,12 @@ def test_repo_sources_are_clean():
     assert result.ok, "\n".join(
         f"{f.path}:{f.line} {f.code} {f.message}" for f in result.blocking
     )
-    # The DET closure actually reaches the serialization/execution stack.
+    # The DET closure actually reaches the serialization/execution stack
+    # and the simulator the cells run, down to every layer of the model.
     for module in ("repro.runner.seeding", "repro.runner.backends.base",
-                   "repro.sim.machine"):
+                   "repro.sim.machine", "repro.sim.fastpath",
+                   "repro.mem.memory_system", "repro.cache.cache",
+                   "repro.dram.device", "repro.pmu.pmu"):
         assert module in result.det_scope
     # Every path the default config names exists: a stale entry would
     # silently scope (or exempt) nothing, and no finding would say so.
@@ -272,7 +268,7 @@ def test_repo_sources_are_clean():
         assert base.with_suffix(".py").is_file() or (base / "__init__.py").is_file(), module
     paths = (config.det_core_suffixes
              + tuple(path for path, _calls in config.det_allowed_calls)
-             + (config.eqv_source[0],) + config.eqv_mirrors + config.ker_suffixes)
+             + (config.eqv_source[0],) + config.eqv_mirrors)
     for suffix in paths:
         assert (src / suffix).is_file(), suffix
 
@@ -294,8 +290,6 @@ def test_cli_exit_codes_per_fixture():
                         str(FIXTURES / "det_violation.py")]) == 1
     assert main(base + ["--rules", "DET",
                         str(FIXTURES / "det_noqa.py")]) == 0
-    assert main(base + ["--rules", "KER",
-                        str(FIXTURES / "ker_violation.py")]) == 1
     assert main(base + ["--rules", "ERR",
                         str(FIXTURES / "err_violation.py")]) == 1
     assert main(base + ["--rules", "ERR",

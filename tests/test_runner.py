@@ -444,3 +444,19 @@ def test_code_fingerprint_reflects_extra_module_edit(tmp_path):
     extra.write_text("def cell():\n    return 2\n")
     os.utime(extra, ns=(1, 1))
     assert code_fingerprint(str(extra)) != first
+
+
+def test_code_fingerprint_ignores_engine_environment(monkeypatch, tmp_path):
+    # Both engines are bit-identical, so the cache key covers sources only:
+    # the retired engine/kernel knobs must neither split nor alias entries.
+    from repro.runner import code_fingerprint
+
+    retired = {"REPRO_ENGINE": "turbo", "REPRO_ACCEL": "0"}
+    extra = tmp_path / "extra_cell.py"
+    extra.write_text("def cell():\n    return 1\n")
+    for name in retired:
+        monkeypatch.delenv(name, raising=False)
+    unset = (code_fingerprint(), code_fingerprint(str(extra)))
+    for name, value in retired.items():
+        monkeypatch.setenv(name, value)
+    assert (code_fingerprint(), code_fingerprint(str(extra))) == unset
