@@ -112,7 +112,12 @@ class RowhammerAttack(ABC):
         check_every: int = 64,
     ) -> AttackResult:
         """Hammer until the first bit flip (if ``stop_on_flip``) or until
-        ``max_ms`` of machine time elapses."""
+        ``max_ms`` of machine time elapses.
+
+        The hammer runs on :meth:`Machine.run_fast
+        <repro.sim.machine.Machine.run_fast>`, the bit-identical twin of
+        the reference ``Machine.run``; the flip check runs every
+        ``check_every`` ops."""
         self.prepare(machine)
         clock = machine.clock
         device = machine.memory.device
@@ -124,7 +129,7 @@ class RowhammerAttack(ABC):
         if stop_on_flip:
             until = lambda m: len(device.tracker.flips) > start_flip_idx  # noqa: E731
 
-        run = machine.run(
+        run = machine.run_fast(
             self.ops(),
             max_cycles=clock.cycles_from_ms(max_ms),
             until=until,

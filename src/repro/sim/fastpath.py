@@ -29,23 +29,39 @@ several times faster.  Three mechanisms provide the speedup:
    anything could observe them.  A record only materialises when a
    defense, armed counter, or the PEBS sampler needs to see the access.
 
+**PAIR_LOAD** runs inline with ``Machine.execute``'s semantics: both
+loads walk the caches (and DRAM on an LLC miss) from the same start
+cycle, load *a* first; the clock advances by the larger latency; one
+``_pair_lcg`` step picks the retirement order; both loads then retire in
+that order, each updating the PMU and offering to the sampler at the
+current clock (a sampled first load's PMI cost lands before the second
+retires); timers fire once, after both.
+
+**Hook stepping.**  While an access hook or memory-system listener is
+registered (``BackgroundMix`` co-runners, diagnostics), every access must
+materialise a record for it, so the engine steps ``Machine.execute`` op
+by op with the same counting and stop bookkeeping, and resumes batching
+once none remains.
+
 **When the slow path is taken** (the engine falls back to plain
 ``Machine.execute`` for the op, or takes a bookkeeping excursion, then
 re-hoists its locals and opens a new batch):
 
-- the op is not a LOAD/STORE/CLFLUSH/MFENCE/COMPUTE (``PAIR_LOAD``,
-  unknown kinds);
-- the virtual page is not in the software TLB (first touch of a page);
-- access hooks or memory-system listeners are registered (every access
-  must materialise a record for them);
+- the op is not a LOAD/STORE/PAIR_LOAD/CLFLUSH/MFENCE/COMPUTE (unknown
+  kinds), or is a CLFLUSH while CLFLUSH is disallowed;
+- a virtual page of the op is not in the software TLB (first touch of a
+  page);
 - an overflow interrupt is programmed on a counter the op would bump;
 - the PEBS sampler is armed and the access passes its filters (the
   sample — or the sampler's tie-breaking RNG draw — must happen exactly
   as on the slow path);
 - the access reaches DRAM while controller observers or row filters are
   registered (PARA/TRR/ARMOR defenses see every activation);
-- a timer deadline is reached, the ``until`` predicate is due, or
-  CLFLUSH executes while disallowed.
+- a timer deadline is reached or the ``until`` predicate is due.
+
+Each fallback, and each hook-stepped op, is counted by reason in
+``Machine.fast_fallbacks`` (telemetry only: it is not part of any
+``RunResult`` or cache key).
 
 Invariants the engine relies on (pinned by the equivalence suite in
 ``tests/test_fastpath_equivalence.py``):
@@ -56,6 +72,8 @@ Invariants the engine relies on (pinned by the equivalence suite in
 - deferred counter increments are only used while no overflow interrupt
   is programmed on that counter, and deferred counts and statistics are
   flushed before any callback, sample offer, predicate, or return;
+- hooks and listeners are only registered or removed by those same
+  callbacks, so a batch that opens with none keeps none;
 - ops are pulled from the stream one at a time (never prefetched), so
   generators that count iterations or produce ops lazily observe the
   same consumption order as ``Machine.run``.
@@ -66,7 +84,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from ..mem.memory_system import MemoryAccess
-from .ops import CLFLUSH, COMPUTE, LOAD, MFENCE, Op, STORE
+from .ops import CLFLUSH, COMPUTE, LOAD, MFENCE, PAIR_LOAD, Op, STORE
 from .results import RunResult
 
 if TYPE_CHECKING:  # pragma: no cover - type-only (machine imports us)
@@ -90,12 +108,16 @@ def execute_fast(
     check_every: int = 64,
 ) -> RunResult:
     """Run ``ops`` on ``machine``; see the module docstring for semantics."""
+    if check_every < 1:
+        raise ValueError(f"check_every must be >= 1, got {check_every}")
     memory = machine.memory
     pmu = machine.pmu
     hierarchy = memory.hierarchy
     controller = memory.controller
     vm = memory.vm
     l1, l2, llc = hierarchy.l1, hierarchy.l2, hierarchy.llc
+    execute = machine.execute
+    fallbacks = machine.fast_fallbacks
 
     # -- run-constant state -----------------------------------------------------
     page_bits = vm._page_bits
@@ -131,6 +153,11 @@ def execute_fast(
     c_store_miss = pmu._c_store_miss
     decode_memo: dict[int, object] = {}
     decode_memo_get = decode_memo.get
+    # Cache-hit outcomes of a PAIR_LOAD half, as MemoryAccess fields from
+    # ``level`` on (shared: a hit allocates nothing).
+    hit_l1 = ("L1", lat_l1, False, None, False, 0)
+    hit_l2 = ("L2", lat_l2, False, None, False, 0)
+    hit_l3 = ("L3", lat_l3, False, None, False, 0)
 
     start_cycles = machine.cycles
     start_overhead = machine.overhead_cycles
@@ -213,13 +240,11 @@ def execute_fast(
             d_dev_act = 0
         machine.cycles = cycles
 
-    def _retire(record: MemoryAccess) -> None:
-        """Full PMU retire for a materialised record (state is flushed and
-        access hooks are known to be empty when this runs)."""
-        sample = pmu.on_access(record, machine.cycles)
-        if sample is not None and machine.pmi_cost_cycles:
-            machine.cycles += machine.pmi_cost_cycles
-            machine.overhead_cycles += machine.pmi_cost_cycles
+    def _retire(*records: MemoryAccess) -> None:
+        """Full retire of materialised records, in order, then one timer
+        check (state is flushed when this runs)."""
+        for record in records:
+            machine._retire(record)
         machine._fire_due_timers()
 
     def _post_callbacks() -> None:
@@ -240,7 +265,149 @@ def execute_fast(
                 if done:
                     stopped = "until"
 
+    def _pair_half(paddr: int, t0: int) -> tuple:
+        """One load of a PAIR_LOAD starting at ``t0``: the inline cache walk
+        and DRAM access of the LOAD arm below.  Returns the MemoryAccess
+        fields from ``level`` on; retirement is the caller's."""
+        nonlocal d1_hit, d1_miss, d1_evict, d2_hit, d2_miss, d2_evict
+        nonlocal d3_hit, d3_miss, d3_evict
+        nonlocal d_ctl_acc, d_ctl_lat, d_ctl_blocked
+        nonlocal d_dev_acc, d_dev_hit, d_dev_act
+        line = paddr >> l1_bits
+        cset = l1_sets[line & l1_mask] if l1_simple else l1_sets[l1_index(paddr)]
+        way = cset.lookup.get(line)
+        if way is not None:
+            cset.policy.on_hit(way)
+            d1_hit += 1
+            return hit_l1
+        d1_miss += 1
+        tags = cset.tags
+        if len(cset.lookup) < l1_ways:
+            way = tags.index(None)
+        else:
+            way = cset.policy.victim()
+            del cset.lookup[tags[way]]
+            d1_evict += 1
+        tags[way] = line
+        cset.lookup[line] = way
+        cset.policy.on_fill(way)
+        line = paddr >> l2_bits
+        cset = l2_sets[line & l2_mask] if l2_simple else l2_sets[l2_index(paddr)]
+        way = cset.lookup.get(line)
+        if way is not None:
+            cset.policy.on_hit(way)
+            d2_hit += 1
+            return hit_l2
+        d2_miss += 1
+        tags = cset.tags
+        if len(cset.lookup) < l2_ways:
+            way = tags.index(None)
+        else:
+            way = cset.policy.victim()
+            del cset.lookup[tags[way]]
+            d2_evict += 1
+        tags[way] = line
+        cset.lookup[line] = way
+        cset.policy.on_fill(way)
+        line = paddr >> llc_bits
+        if llc_simple:
+            cset = llc_sets[line & llc_mask]
+        else:
+            idx = llc_memo_get(line)
+            cset = llc_sets[idx if idx is not None else llc_index(paddr)]
+        way = cset.lookup.get(line)
+        if way is not None:
+            cset.policy.on_hit(way)
+            d3_hit += 1
+            return hit_l3
+        d3_miss += 1
+        tags = cset.tags
+        if len(cset.lookup) < llc_ways:
+            way = tags.index(None)
+            tags[way] = line
+            cset.lookup[line] = way
+            cset.policy.on_fill(way)
+        else:
+            way = cset.policy.victim()
+            evicted = tags[way]
+            del cset.lookup[evicted]
+            d3_evict += 1
+            tags[way] = line
+            cset.lookup[line] = way
+            cset.policy.on_fill(way)
+            l2_inv_line(evicted)
+            l1_inv_line(evicted)
+        t_mem = t0 + lat_miss
+        if observers or row_filters:
+            _flush()
+            dram = controller.access(paddr, t_mem, False)
+            return (
+                "DRAM", lat_miss + dram.latency_cycles, True,
+                dram.coord, dram.activated, dram.new_flip_count,
+            )
+        pos = t_mem % trefi
+        blocked = trfc - pos if pos < trfc else 0
+        ent = decode_memo_get(paddr)
+        if ent is None:
+            coord = decode(paddr)
+            if len(decode_memo) >= _DECODE_MEMO_MAX:
+                decode_memo.clear()
+            ent = (coord, coord.rank * banks_per_rank + coord.bank)
+            decode_memo[paddr] = ent
+        coord, bank = ent
+        d_dev_acc += 1
+        if open_rows[bank] == coord.row:
+            d_dev_hit += 1
+            dram_lat = hit_cyc + blocked
+            activated = False
+            flips_n = 0
+        else:
+            act_lat, flips_n = dev_miss_fast(coord, bank, t_mem + blocked)
+            dram_lat = act_lat + blocked
+            activated = True
+            d_dev_act += 1
+            d_act_bank[bank] = d_act_bank.get(bank, 0) + 1
+        d_ctl_acc += 1
+        d_ctl_lat += dram_lat
+        d_ctl_blocked += blocked
+        return ("DRAM", lat_miss + dram_lat, True, coord, activated, flips_n)
+
     while stopped is None:
+        if hooks or listeners:
+            # -- hook stepping: each access must reach a hook or listener,
+            # so run the reference interpreter op by op until none remains.
+            stepped = 0
+            for op in it:
+                outcome = execute(op)
+                stepped += 1
+                if outcome is not None:
+                    for record in outcome if type(outcome) is list else (outcome,):
+                        if record.is_store:
+                            stores_n += 1
+                        else:
+                            loads_n += 1
+                        if record.level == "DRAM":
+                            dram_n += 1
+                elif op[0] == CLFLUSH:
+                    clflush_n += 1
+                if machine.cycles >= deadline:
+                    stopped = "max_cycles"
+                    break
+                if until is not None:
+                    until_left -= 1
+                    if until_left == 0:
+                        until_left = check_every
+                        if until(machine):
+                            stopped = "until"
+                            break
+                if not (hooks or listeners):
+                    break  # resume batching
+            else:
+                stopped = "exhausted"
+            n += stepped
+            fallbacks["hook"] += stepped
+            continue
+
         # -- (re)hoist state a callback or slow-path op may have changed ------
         cycles = machine.cycles
         next_deadline = machine._next_deadline
@@ -279,13 +446,15 @@ def execute_fast(
 
         for op in it:
             kind = op[0]
-            slow_op = False
+            slow = None  # fallback reason: run this op through execute()
             if kind == LOAD or kind == STORE:
                 is_store = kind == STORE
                 vaddr = op[1]
                 frame = tlb_get(vaddr >> page_bits)
-                if frame is None or listeners or hooks or not hit_defer:
-                    slow_op = True  # TLB fill / record consumers / armed counter
+                if frame is None:
+                    slow = "tlb_fill"
+                elif not hit_defer:
+                    slow = "armed_counter"
                 else:
                     paddr = frame | (vaddr & offset_mask)
                     # ---- inline cache walk (mirrors Cache.access_fill) ----
@@ -385,6 +554,7 @@ def execute_fast(
                             # Armed sampler and the load passes its
                             # filters: the offer must really happen (it
                             # records a sample or burns a tie-break draw).
+                            fallbacks["pebs"] += 1
                             _flush()
                             _retire(
                                 MemoryAccess(vaddr, paddr, is_store, level, lat, False)
@@ -407,6 +577,10 @@ def execute_fast(
                         if observers or row_filters or not miss_defer:
                             # Defense-visible access or armed miss counter:
                             # full controller + PMU retire semantics.
+                            fallbacks[
+                                "observer" if observers or row_filters
+                                else "armed_counter"
+                            ] += 1
                             _flush()
                             dram = controller.access(paddr, t_mem, is_store)
                             total_lat = lat_miss + dram.latency_cycles
@@ -475,6 +649,7 @@ def execute_fast(
                                 and lat_miss + dram_lat >= sample_lat_min
                             )
                         ):
+                            fallbacks["pebs"] += 1
                             _flush()
                             _retire(
                                 MemoryAccess(
@@ -504,8 +679,10 @@ def execute_fast(
             elif kind == CLFLUSH:
                 vaddr = op[1]
                 frame = tlb_get(vaddr >> page_bits)
-                if frame is None or not clflush_ok:
-                    slow_op = True  # TLB fill, or raise ClflushRestrictedError
+                if frame is None:
+                    slow = "tlb_fill"
+                elif not clflush_ok:
+                    slow = "op_kind"  # raises ClflushRestrictedError
                 else:
                     paddr = frame | (vaddr & offset_mask)
                     # Inline Cache.invalidate at each level.
@@ -545,16 +722,71 @@ def execute_fast(
                     cycles += clflush_cycles
                     clflush_n += 1
                     n += 1
+            elif kind == PAIR_LOAD:
+                vaddr_a, vaddr_b = op[1]
+                frame_a = tlb_get(vaddr_a >> page_bits)
+                frame_b = tlb_get(vaddr_b >> page_bits)
+                if frame_a is None or frame_b is None:
+                    slow = "tlb_fill"
+                elif not hit_defer:
+                    slow = "armed_counter"
+                else:
+                    # Both loads start at the same cycle, a first; the
+                    # pair costs the larger latency.
+                    half_a = _pair_half(frame_a | (vaddr_a & offset_mask), cycles)
+                    half_b = _pair_half(frame_b | (vaddr_b & offset_mask), cycles)
+                    lat = half_a[1]
+                    if half_b[1] > lat:
+                        lat = half_b[1]
+                    cycles += lat
+                    n += 1
+                    loads_n += 2
+                    lcg = (machine._pair_lcg * 1103515245 + 12345) & 0x7FFFFFFF
+                    machine._pair_lcg = lcg
+                    miss_a = half_a[2]
+                    miss_b = half_b[2]
+                    reason = None
+                    if next_sample_at <= cycles and sample_loads and lat >= sample_lat_min:
+                        reason = "pebs"  # the sampler could take either load
+                    if miss_a or miss_b:
+                        dram_n += miss_a + miss_b
+                        if observers or row_filters:
+                            reason = "observer"
+                        elif not miss_defer:
+                            reason = "armed_counter"
+                    if reason is not None:
+                        fallbacks[reason] += 1
+                        _flush()
+                        rec_a = MemoryAccess(
+                            vaddr_a, frame_a | (vaddr_a & offset_mask), False, *half_a
+                        )
+                        rec_b = MemoryAccess(
+                            vaddr_b, frame_b | (vaddr_b & offset_mask), False, *half_b
+                        )
+                        if lcg & 0x10000:
+                            _retire(rec_b, rec_a)
+                        else:
+                            _retire(rec_a, rec_b)
+                        _post_callbacks()
+                        break  # re-hoist (sampler/callback state changed)
+                    d_loads += 2
+                    if miss_a:
+                        d_miss += 1
+                        d_load_miss += 1
+                    if miss_b:
+                        d_miss += 1
+                        d_load_miss += 1
             elif kind == MFENCE:
                 cycles += mfence_cycles
                 n += 1
             else:
-                slow_op = True  # PAIR_LOAD and unknown kinds
+                slow = "op_kind"  # unknown kinds: execute() raises
 
-            if slow_op:
+            if slow is not None:
                 # -- full reference semantics for this one op --
+                fallbacks[slow] += 1
                 _flush()
-                outcome = machine.execute(op)  # may raise; state is synced
+                outcome = execute(op)  # may raise; state is synced
                 n += 1
                 if outcome is not None:
                     for record in outcome if type(outcome) is list else (outcome,):
@@ -571,6 +803,7 @@ def execute_fast(
 
             # -- shared epilogue for every deferred fast op -------------------
             if cycles >= next_deadline:
+                fallbacks["timer"] += 1
                 _flush()
                 machine._fire_due_timers()
                 _post_callbacks()
@@ -582,6 +815,7 @@ def execute_fast(
                 until_left -= 1
                 if until_left == 0:
                     until_left = check_every
+                    fallbacks["until"] += 1
                     _flush()
                     done = until(machine)
                     cycles = machine.cycles

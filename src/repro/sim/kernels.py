@@ -3,9 +3,9 @@
 The simulator has two engines, both pure standard library: the reference
 interpreter (:meth:`~repro.sim.machine.Machine.run`) and its bit-identical
 batched twin (:meth:`~repro.sim.machine.Machine.run_fast`).  The paper
-experiments run on the reference engine with no vector kernels, and these
-two constants say so.  ``perfbench/child.py`` records both in the
-environment block of every benchmark pass.
+experiments run on the batched twin, whose results are exact, with no
+vector kernels, and these two constants say so.  ``perfbench/child.py``
+records both in the environment block of every benchmark pass.
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ module:
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -64,6 +65,11 @@ class Machine:
         self._next_deadline = FAR_FUTURE
         self._pair_lcg = 0x2545F491
         self._access_hooks: list[Callable[[MemoryAccess, int], None]] = []
+        #: Fast-path fallbacks by reason (see :mod:`repro.sim.fastpath`):
+        #: ``op_kind``, ``tlb_fill``, ``hook`` (one per stepped op),
+        #: ``armed_counter``, ``pebs``, ``observer``, ``timer``, ``until``.
+        #: Engine telemetry only: no RunResult or cache key includes it.
+        self.fast_fallbacks: Counter[str] = Counter()
 
     # -- time --------------------------------------------------------------------
 
@@ -178,7 +184,13 @@ class Machine:
     ) -> RunResult:
         """Execute ``ops`` until exhaustion, ``max_cycles`` elapsed, or
         ``until(machine)`` becomes true (checked every ``check_every`` ops).
+
+        This is the reference interpreter: one :meth:`execute` per op.
+        Experiments run on :meth:`run_fast`; tests and benches compare the
+        two engines on the same streams.
         """
+        if check_every < 1:
+            raise ValueError(f"check_every must be >= 1, got {check_every}")
         start_cycles = self.cycles
         start_overhead = self.overhead_cycles
         miss_counter = self.pmu.counter(Event.LONGEST_LAT_CACHE_MISS)
@@ -223,12 +235,14 @@ class Machine:
     ) -> RunResult:
         """Execute ``ops`` through the fast-path engine.
 
-        Bit-for-bit equivalent to :meth:`run` — identical
-        :class:`RunResult`, PMU counters, cache/replacement state, and
-        flip outcomes for any op stream — but several times faster: state
-        is hoisted into locals and the per-access record allocation, heap
-        peek, and call-chain dispatch are skipped on the common paths (see
-        :mod:`repro.sim.fastpath`).
+        This is the engine every experiment runs on: all attacks
+        (:meth:`repro.attacks.base.RowhammerAttack.run`) and both exploit
+        hammers.  Bit-for-bit equivalent to the reference :meth:`run` —
+        identical :class:`RunResult`, PMU counters, cache/replacement
+        state, and flip outcomes for any op stream — but several times
+        faster: state is hoisted into locals and the per-access record
+        allocation, heap peek, and call-chain dispatch are skipped on the
+        common paths (see :mod:`repro.sim.fastpath`).
         """
         return execute_fast(self, ops, max_cycles=max_cycles, until=until, check_every=check_every)
 

@@ -165,3 +165,119 @@ def test_eviction_sets_exposed():
     attack.prepare(machine)
     set_x, set_y = attack.eviction_sets
     assert len(set_x) == len(set_y) == 12
+
+
+# -- exact oracle -------------------------------------------------------------------
+#
+# Every AttackResult field, pinned on the reference engine before attacks
+# moved onto Machine.run_fast.  A change to any value means an engine or
+# model change altered an experiment's outcome, not just its speed.
+
+PINNED_FIRST_FLIP = {
+    SingleSidedClflushAttack: (60, {
+        "name": "single-sided-clflush",
+        "elapsed_ms": 1.0429426923076923,
+        "iterations": 4011,
+        "total_dram_accesses": 8022,
+        "flips": 1,
+        "time_to_first_flip_ms": 1.0413038461538462,
+        "min_row_accesses": 8010,
+        "ns_per_iteration": 260.0206163818729,
+        "llc_misses": 8022,
+        "details": {"first_flip_row_id": 1230, "first_flip_bit": 7903},
+    }),
+    DoubleSidedClflushAttack: (30, {
+        "name": "double-sided-clflush",
+        "elapsed_ms": 0.3016288461538461,
+        "iterations": 2010,
+        "total_dram_accesses": 4020,
+        "flips": 1,
+        "time_to_first_flip_ms": 0.30051,
+        "min_row_accesses": 4005,
+        "ns_per_iteration": 150.06410256410254,
+        "llc_misses": 4020,
+        "details": {"first_flip_row_id": 1230, "first_flip_bit": 7903},
+    }),
+    ClflushFreeAttack: (40, {
+        "name": "double-sided-clflush-free",
+        "elapsed_ms": 0.7116888461538461,
+        "iterations": 2004,
+        "total_dram_accesses": 8058,
+        "flips": 1,
+        "time_to_first_flip_ms": 0.7111896153846153,
+        "min_row_accesses": 4005,
+        "ns_per_iteration": 355.1341547673883,
+        "llc_misses": 8058,
+        "details": {"first_flip_row_id": 1230, "first_flip_bit": 7903},
+    }),
+}
+
+
+@pytest.mark.parametrize(
+    "attack_cls", list(PINNED_FIRST_FLIP), ids=lambda cls: cls.__name__
+)
+def test_attack_to_first_flip_pinned(attack_cls):
+    from dataclasses import asdict
+
+    max_ms, expected = PINNED_FIRST_FLIP[attack_cls]
+    _, _, result = run_attack(attack_cls, max_ms=max_ms)
+    assert asdict(result) == expected
+
+
+def test_clflush_free_under_anvil_pinned(attack_machine, fast_anvil_config):
+    """A fixed 6 ms CLFLUSH-free window under ANVIL: the attack result, the
+    detector's counters, and every detection (time, aggressors, refreshes)."""
+    from dataclasses import asdict
+
+    from repro.core import AnvilModule
+
+    anvil = AnvilModule(attack_machine, fast_anvil_config)
+    anvil.install()
+    attack = ClflushFreeAttack(buffer_bytes=BUF)
+    result = attack.run(attack_machine, max_ms=6.0, stop_on_flip=False)
+    assert asdict(result) == {
+        "name": "double-sided-clflush-free",
+        "elapsed_ms": 6.001725,
+        "iterations": 12008,
+        "total_dram_accesses": 48076,
+        "flips": 0,
+        "time_to_first_flip_ms": None,
+        "min_row_accesses": None,
+        "ns_per_iteration": 499.81054297135245,
+        "llc_misses": 48076,
+        "details": {},
+    }
+    assert (attack_machine.cycles, attack_machine.overhead_cycles) == (
+        15_604_485, 4_493_498,
+    )
+    stats = anvil.stats
+    assert (
+        stats.stage1_windows, stats.stage1_triggers, stats.stage2_windows,
+        stats.samples_collected, stats.untranslatable_samples,
+        stats.selective_refreshes,
+    ) == (3, 3, 2, 99, 0, 14)
+    assert stats.refresh_times_cycles == [5_221_726] * 7 + [10_459_188] * 7
+    detections = [
+        (
+            d.time_cycles,
+            [(a.row_key, a.sample_count, a.bank_other_samples) for a in d.aggressors],
+            list(d.refreshed_rows),
+        )
+        for d in stats.detections
+    ]
+    assert detections == [
+        (
+            5_221_726,
+            [((0, 0, 1231), 15, 34), ((0, 0, 1229), 14, 35),
+             ((0, 0, 1035), 13, 36), ((0, 0, 517), 7, 42)],
+            [(0, 0, 1230), (0, 0, 1232), (0, 0, 1228), (0, 0, 1034),
+             (0, 0, 1036), (0, 0, 516), (0, 0, 518)],
+        ),
+        (
+            10_459_188,
+            [((0, 0, 1035), 15, 35), ((0, 0, 517), 12, 38),
+             ((0, 0, 1229), 12, 38), ((0, 0, 1231), 11, 39)],
+            [(0, 0, 1034), (0, 0, 1036), (0, 0, 516), (0, 0, 518),
+             (0, 0, 1228), (0, 0, 1230), (0, 0, 1232)],
+        ),
+    ]

@@ -12,22 +12,30 @@ Streams are seeded random blends of every op kind, plus the hammer kernel
 ANVIL armed (timers + PEBS sampling + selective refresh), plus the
 stop-condition and TLB-remap corners, plus workload-generator streams and
 the hook-driven slow path (a bare access hook, and the ``BackgroundMix``
-co-runner injector that the heavy-load experiments attach).
+co-runner injector that the heavy-load experiments attach), plus the
+CLFLUSH-free attack's ``PAIR_LOAD`` stream alone, under ANVIL, under the
+PARA and ARMOR controller defenses, and with co-runners attached or
+detached mid-run.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
+from repro.attacks import ClflushFreeAttack
 from repro.cache.cache import Cache
 from repro.core import AnvilConfig
 from repro.core.anvil import AnvilModule
+from repro.defenses import Armor, Para
 from repro.dram.mapping import DramCoord
 from repro.pmu import Event
 from repro.presets import small_machine
 from repro.sim.ops import CLFLUSH, COMPUTE, LOAD, MFENCE, PAIR_LOAD, STORE
+from repro.units import MB
 from repro.workloads import (
     BackgroundMix,
     PointerChaseWorkload,
@@ -102,12 +110,14 @@ def state_snapshot(machine) -> dict:
         ],
         "controller": (controller.stats.accesses,
                        controller.stats.total_latency_cycles,
-                       controller.stats.blocked_cycles),
+                       controller.stats.blocked_cycles,
+                       controller.stats.observer_refreshes),
         "device": (device.stats.accesses, device.stats.row_hits,
                    device.stats.activations, device.stats.refreshes_issued,
                    dict(device.stats.activations_per_bank)),
         "open_rows": list(device._open_rows),
         "flips": machine.memory.flip_count(),
+        "pair_lcg": machine._pair_lcg,
     }
 
 
@@ -129,11 +139,14 @@ def build_machine(anvil: bool = False, threshold_min: int | None = None):
 
 
 def run_twins(build_ops, *, anvil=False, background=False, threshold_min=None,
-              map_pages=0, max_cycles=None, until_misses=None, check_every=64):
+              map_pages=0, max_cycles=None, until_misses=None, check_every=64,
+              detach_after=None, fallbacks=None):
     """Run the same stream through both paths; return (results, snapshots).
 
     ``background`` attaches the heavy-load co-runner mix to each twin and
-    adds its injected-op count to the snapshot.
+    adds its injected-op count to the snapshot; ``detach_after`` schedules
+    a timer that detaches it that many cycles into the run.  The fast
+    twin's ``Machine.fast_fallbacks`` are added to ``fallbacks`` when given.
     """
     outcomes = []
     for fast in (False, True):
@@ -145,6 +158,8 @@ def run_twins(build_ops, *, anvil=False, background=False, threshold_min=None,
         for p in range(map_pages):
             machine.memory.vm.map_fixed(p * PAGE, p * PAGE)
         ops = build_ops(machine) if callable(build_ops) else build_ops
+        if detach_after is not None:
+            machine.schedule_in(detach_after, lambda m, mix=mix: mix.detach())
         until = None
         if until_misses is not None:
             counter = machine.pmu.counter(Event.LONGEST_LAT_CACHE_MISS)
@@ -156,6 +171,8 @@ def run_twins(build_ops, *, anvil=False, background=False, threshold_min=None,
         if mix is not None:
             snapshot["injected_ops"] = mix.injected_ops
         outcomes.append((result_tuple(result), snapshot))
+        if fast and fallbacks is not None:
+            fallbacks.update(machine.fast_fallbacks)
     return outcomes
 
 
@@ -207,6 +224,26 @@ def test_hammer_under_anvil_equivalent():
     )
     assert outcomes[0][0][9] > 0  # overhead_cycles: sampling engaged
     assert_equivalent(outcomes)
+
+
+@pytest.mark.parametrize("check_every", [0, -1])
+@pytest.mark.parametrize("engine", ["run", "run_fast"])
+def test_check_every_below_one_rejected(engine, check_every):
+    """Both engines refuse a non-positive predicate period before
+    executing anything (else ``until`` would silently never run)."""
+    machine = small_machine()
+    pulled = []
+
+    def ops():
+        for _ in range(1_000):
+            pulled.append(1)
+            yield (COMPUTE, 10)
+
+    with pytest.raises(ValueError, match="check_every"):
+        getattr(machine, engine)(ops(), until=lambda m: False,
+                                 check_every=check_every)
+    assert machine.cycles == 0
+    assert pulled == []
 
 
 def test_tlb_remap_equivalent():
@@ -265,6 +302,21 @@ def hooked_hammer_ops(machine):
     return hammer_ops(machine, 20_000, think=120)
 
 
+def clflush_free_ops(defense=None):
+    """Op-stream factory for the CLFLUSH-free attack's endless
+    ``PAIR_LOAD`` stream, with ``defense()`` installed first when given
+    (rows bound it with ``max_cycles``)."""
+
+    def build(machine):
+        if defense is not None:
+            defense().install(machine)
+        attack = ClflushFreeAttack(buffer_bytes=16 * MB)
+        attack.prepare(machine)
+        return attack.ops()
+
+    return build
+
+
 #: Engine-comparison rows: (op-stream builder, ``run_twins`` options).
 ENGINE_ROWS = {
     "stream-cache-resident": (
@@ -300,10 +352,79 @@ ENGINE_ROWS = {
         lambda m: hammer_ops(m, 40_000),
         {"background": True, "anvil": True},
     ),
+    # ~0.8 ms of hammering: the victim flips at threshold 2,000.
+    "clflush-free": (
+        clflush_free_ops(), {"threshold_min": 2_000, "max_cycles": 2_000_000},
+    ),
+    # 6M cycles: a 1 ms stage-1 trigger, then a sampled stage-2 window.
+    "clflush-free-anvil": (
+        clflush_free_ops(),
+        {"anvil": True, "threshold_min": 30_000, "max_cycles": 6_000_000},
+    ),
+    "clflush-free-para": (
+        clflush_free_ops(lambda: Para(probability=0.01)),
+        {"threshold_min": 2_000, "max_cycles": 2_000_000},
+    ),
+    "clflush-free-armor": (
+        clflush_free_ops(lambda: Armor(hot_threshold=500)),
+        {"threshold_min": 2_000, "max_cycles": 2_000_000},
+    ),
+    "clflush-free-background": (
+        clflush_free_ops(), {"background": True, "max_cycles": 2_000_000},
+    ),
+    # The detach timer moves the fast engine from hook stepping back to
+    # batching halfway through.
+    "clflush-free-background-detach": (
+        clflush_free_ops(),
+        {"background": True, "detach_after": 1_000_000, "max_cycles": 2_000_000},
+    ),
 }
+
+#: Fast-path fallback reasons a row must exercise, so each row provably
+#: covers the engine path it is named for.
+ROW_PATHS = {
+    "hammer-access-hook": ("hook",),
+    "hammer-background": ("hook",),
+    "hammer-background-anvil": ("hook",),
+    "clflush-free-anvil": ("pebs",),
+    "clflush-free-para": ("observer",),
+    "clflush-free-armor": ("observer",),
+    "clflush-free-background": ("hook",),
+    # Only a batch counts "timer" fallbacks: batching resumed after detach.
+    "clflush-free-background-detach": ("hook", "timer"),
+}
+
+#: Rows that must reach the disturbance model.
+FLIP_ROWS = {"hammer-think", "hammer-access-hook", "clflush-free"}
 
 
 @pytest.mark.parametrize("row", sorted(ENGINE_ROWS))
 def test_engine_rows_equivalent(row):
     build_ops, options = ENGINE_ROWS[row]
-    assert_equivalent(run_twins(build_ops, **options))
+    fallbacks = Counter()
+    outcomes = run_twins(build_ops, fallbacks=fallbacks, **options)
+    assert_equivalent(outcomes)
+    for reason in ROW_PATHS.get(row, ()):
+        assert fallbacks[reason] > 0, (reason, fallbacks)
+    if row in FLIP_ROWS:
+        assert outcomes[0][0][8] > 0  # new_flips
+
+
+def test_fallback_telemetry():
+    """``fast_fallbacks`` says why the fast engine left its batches: an
+    idle CLFLUSH-free run never falls back on its op kind, and with
+    co-runners attached every op is hook-stepped."""
+    machine = small_machine()
+    attack = ClflushFreeAttack(buffer_bytes=16 * MB)
+    attack.prepare(machine)
+    result = machine.run_fast(itertools.islice(attack.ops(), 5_000))
+    assert result.ops_executed == 5_000
+    assert machine.fast_fallbacks["op_kind"] == 0
+    assert machine.fast_fallbacks["hook"] == 0
+
+    machine = small_machine()
+    BackgroundMix().attach(machine)
+    attack = ClflushFreeAttack(buffer_bytes=16 * MB)
+    attack.prepare(machine)
+    result = machine.run_fast(itertools.islice(attack.ops(), 3_000))
+    assert machine.fast_fallbacks["hook"] == result.ops_executed == 3_000
