@@ -14,11 +14,9 @@ through :func:`sweep_runner`, which honours the ``--jobs`` pytest option
 / ``REPRO_JOBS`` environment knob for parallelism (in-process when
 serial, a local process pool otherwise — results are bit-identical
 either way) and keeps an incremental result cache under
-``benchmarks/results/.cache/``.  Failure semantics are configurable the
-same way: ``--fail-policy`` / ``REPRO_FAIL_POLICY`` picks strict (raise
-an aggregated ``SweepError``) or degrade (partial results + failure
-manifest), and ``--cell-timeout`` / ``REPRO_CELL_TIMEOUT`` bounds each
-cell attempt's wall clock.
+``benchmarks/results/.cache/``.  A failed cell fails its bench with one
+``SweepError`` naming every failed cell; a rerun recomputes only the
+cells the cache does not hold.
 """
 
 from __future__ import annotations
@@ -28,18 +26,13 @@ import os
 import tempfile
 from pathlib import Path
 
-from repro.runner import FaultPlan, ResultCache, RetryPolicy, SweepRunner
+from repro.runner import ResultCache, SweepRunner
 
 RESULTS_DIR = Path(__file__).parent / "results"
 CACHE_DIR = RESULTS_DIR / ".cache"
 
 #: Environment knob disabling the on-disk sweep cache (any falsy value).
 CACHE_ENV = "REPRO_SWEEP_CACHE"
-
-#: Environment knobs mirroring the ``--fail-policy``/``--cell-timeout``
-#: pytest options (see ``benchmarks/conftest.py``).
-FAIL_POLICY_ENV = "REPRO_FAIL_POLICY"
-CELL_TIMEOUT_ENV = "REPRO_CELL_TIMEOUT"
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -85,47 +78,11 @@ def sweep_cache() -> ResultCache | None:
     return ResultCache(CACHE_DIR)
 
 
-def fail_policy() -> str:
-    """Sweep failure policy from ``REPRO_FAIL_POLICY`` (default strict)."""
-    return os.environ.get(FAIL_POLICY_ENV, "strict").lower() or "strict"
-
-
-def cell_timeout() -> float | None:
-    """Per-attempt cell timeout in seconds from ``REPRO_CELL_TIMEOUT``
-    (unset, empty, or non-positive disables the deadline)."""
-    raw = os.environ.get(CELL_TIMEOUT_ENV, "")
-    try:
-        value = float(raw)
-    except ValueError:
-        return None
-    return value if value > 0 else None
-
-
-def sweep_runner(
-    root_seed: int,
-    jobs: int | None = None,
-    cache: bool = True,
-    policy: str | None = None,
-    retry: RetryPolicy | None = None,
-    fault_plan: FaultPlan | None = None,
-    checkpoint: str | os.PathLike | None = None,
-) -> SweepRunner:
+def sweep_runner(root_seed: int, jobs: int | None = None) -> SweepRunner:
     """A :class:`SweepRunner` wired to the bench harness conventions:
     worker count from ``--jobs``/``REPRO_JOBS`` unless overridden, result
-    cache under ``benchmarks/results/.cache/``, failure policy and cell
-    timeout from ``--fail-policy``/``--cell-timeout`` (or their
-    environment twins) unless given explicitly."""
-    if retry is None:
-        retry = RetryPolicy(timeout_s=cell_timeout())
-    return SweepRunner(
-        jobs=jobs,
-        root_seed=root_seed,
-        cache=sweep_cache() if cache else None,
-        policy=policy if policy is not None else fail_policy(),
-        retry=retry,
-        fault_plan=fault_plan,
-        checkpoint=checkpoint,
-    )
+    cache under ``benchmarks/results/.cache/``."""
+    return SweepRunner(jobs=jobs, root_seed=root_seed, cache=sweep_cache())
 
 
 def anvil_table2_text() -> str:

@@ -1,5 +1,5 @@
-"""DET — determinism of everything feeding seeds, fingerprints, journal
-records, and cell execution.
+"""DET — determinism of everything feeding seeds, fingerprints, and
+cell execution.
 
 Two tiers, both scoped by the import-graph closure in
 :mod:`repro.analysis.lint.scope`:
@@ -14,7 +14,7 @@ Two tiers, both scoped by the import-graph closure in
 * **Serialization core** (the files that *build* hashed/framed bytes):
   iterating a dict view or a set without ``sorted(...)`` bakes hash-seed
   or insertion order into the output, and ``json.dumps`` without
-  ``sort_keys=True`` bakes dict order into journal lines.
+  ``sort_keys=True`` bakes dict order into the serialized bytes.
 """
 
 from __future__ import annotations
@@ -180,7 +180,7 @@ class DetRule(Rule):
             rule=self.FAMILY, code="DET008", path=src.rel,
             line=node.lineno, col=node.col_offset,
             message=f"{name}() without sort_keys=True in serialization-core "
-                    "code (journal bytes would depend on dict order)",
+                    "code (serialized bytes would depend on dict order)",
             hint="pass sort_keys=True so identical records serialize "
                  "identically everywhere",
         )]

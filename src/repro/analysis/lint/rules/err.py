@@ -3,11 +3,11 @@
 ``except Exception`` (or bare ``except:``) is legal here only when the
 handler visibly *does something* with the failure: re-raises, returns a
 value the caller interprets, or records the error into a structured
-result (``JobResult``/``TaskOutcome``/``record_failure``/``warnings.warn``
-— the recorder set is configurable).  A broad handler whose body merely
-``pass``es or ``continue``s turns a worker crash, a corrupt record, or a
-genuine bug into silence — which is exactly how a sweep quietly stops
-being bit-identical.
+result (``JobResult``/``warnings.warn`` — the recorder set is
+configurable).  A broad handler whose body merely ``pass``es or
+``continue``s turns a worker crash, a corrupt record, or a genuine bug
+into silence — which is exactly how a sweep quietly stops being
+bit-identical.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ class ErrRule(Rule):
                     message=f"{caught} swallows the error (no raise, no "
                             "return, no structured record)",
                     hint="narrow the exception type, re-raise, or attach the "
-                         "error to a structured result (JobResult/TaskOutcome)",
+                         "error to a structured result (JobResult)",
                 ))
         return findings
 

@@ -71,15 +71,14 @@ class LintConfig:
 
     # -- DET: determinism scope ------------------------------------------------
     #: Import-graph roots: the modules that derive seeds, fingerprint code,
-    #: write journal records, or execute cells, and the packages whose
-    #: code a cell runs: the simulator and everything the paper's cells
-    #: build on it.  The runner imports none of the latter (cells name
-    #: them by ``module:qualname`` spec), so they are listed explicitly.
+    #: or execute cells, and the packages whose code a cell runs: the
+    #: simulator and everything the paper's cells build on it.  The runner
+    #: imports none of the latter (cells name them by ``module:qualname``
+    #: spec), so they are listed explicitly.
     #: Everything the roots (transitively) import is determinism-scoped.
     det_roots: tuple[str, ...] = (
         "repro.runner.seeding",
         "repro.runner.cache",
-        "repro.runner.checkpoint",
         "repro.runner.job",
         "repro.runner.runner",
         "repro.sim",
@@ -95,18 +94,17 @@ class LintConfig:
     #: and ad-hoc paths, where module names do not resolve).
     det_all: bool = False
     #: path-suffix -> dotted call names exempt there.  The timing shim
-    #: (``run_task``) measures per-cell wall-clock *telemetry*
-    #: (``duration_s``), which is excluded from result equality, journal
-    #: identity, and cache keys.
+    #: (``run_cell``) measures per-cell wall-clock *telemetry*
+    #: (``duration_s``), which is excluded from result equality and
+    #: cache keys.
     det_allowed_calls: tuple[tuple[str, tuple[str, ...]], ...] = (
-        ("repro/runner/backends/base.py", ("time.perf_counter",)),
+        ("repro/runner/runner.py", ("time.perf_counter",)),
     )
     #: The serialization core: files whose *iteration order and JSON
-    #: encoding* feed hashes or journal lines directly.
+    #: encoding* feed hashes directly.
     det_core_suffixes: tuple[str, ...] = (
         "repro/runner/seeding.py",
         "repro/runner/cache.py",
-        "repro/runner/checkpoint.py",
         "repro/runner/job.py",
     )
 
@@ -121,6 +119,4 @@ class LintConfig:
     # -- ERR: no swallowed exceptions ------------------------------------------
     #: Call names that count as "recording the error into a structured
     #: result" inside a broad handler.
-    err_recorders: tuple[str, ...] = (
-        "JobResult", "TaskOutcome", "record_failure", "warn",
-    )
+    err_recorders: tuple[str, ...] = ("JobResult", "warn")

@@ -16,9 +16,9 @@ Commands map onto the library's headline capabilities:
 - ``info`` — the simulated machine's configuration.
 
 Every sweep-running command (``defense-grid``, ``spec-overhead``) takes
-the same execution flags — ``--jobs``, ``--seed``, ``--fail-policy``,
-``--cell-timeout``, ``--retries``, ``--checkpoint`` — from one shared
+the same execution flags — ``--jobs`` and ``--seed`` — from one shared
 parent parser; ``--jobs`` mirrors the ``REPRO_JOBS`` environment knob.
+A failed sweep cell exits 2 with an error naming every failed cell.
 
 The CLI runs everything at the scaled demo size so each command finishes
 in seconds-to-a-minute; the benchmark harness covers paper scale.
@@ -42,14 +42,7 @@ from .attacks import (
 from .core import AnvilConfig, AnvilModule
 from .errors import ReproError
 from .presets import small_machine
-from .runner import (
-    FAILURE_POLICIES,
-    Job,
-    ResultCache,
-    RetryPolicy,
-    SweepRunner,
-    derive_seed,
-)
+from .runner import Job, ResultCache, SweepRunner, derive_seed
 from .sim.epoch import double_refresh_normalized_time, run_epoch_cell
 from .units import MB
 from .workloads import SPEC2006_INT, spec_profile
@@ -80,39 +73,7 @@ def _sweep_parent() -> argparse.ArgumentParser:
                             "CPU; default: $REPRO_JOBS or serial)")
     group.add_argument("--seed", type=int, default=0,
                        help="root seed; per-cell seeds derive from it")
-    group.add_argument("--fail-policy", choices=FAILURE_POLICIES,
-                       default="strict",
-                       help="strict: raise on any failed cell; degrade: "
-                            "report partial results + failure manifest")
-    group.add_argument("--cell-timeout", type=float, default=None,
-                       metavar="S",
-                       help="per-attempt wall-clock budget per cell "
-                            "(enforced when cells run on the process pool)")
-    group.add_argument("--retries", type=int, default=2,
-                       help="retries per failed cell before it is "
-                            "recorded as a failure (default 2)")
-    group.add_argument("--checkpoint", default=None, metavar="PATH",
-                       help="journal completed cells to PATH so an "
-                            "interrupted sweep resumes where it stopped")
     return parent
-
-
-def _sweep_runner(args: argparse.Namespace) -> SweepRunner:
-    """A :class:`SweepRunner` wired from the shared sweep flags."""
-    return SweepRunner(
-        jobs=args.jobs, root_seed=args.seed, policy=args.fail_policy,
-        retry=RetryPolicy(max_attempts=args.retries + 1,
-                          timeout_s=args.cell_timeout),
-        checkpoint=args.checkpoint,
-    )
-
-
-def _print_sweep_failures(runner: SweepRunner, policy: str) -> None:
-    print(f"\n{len(runner.last_failures)} cell(s) failed "
-          f"(policy={policy}):", file=sys.stderr)
-    for failure in runner.last_failures:
-        print(f"  {failure.key}: {failure.error_type}: {failure.error}",
-              file=sys.stderr)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -254,17 +215,10 @@ def _cmd_defense_grid(args: argparse.Namespace) -> int:
         for defense in GRID_DEFENSES
         for attack, _label in GRID_ATTACKS
     ]
-    runner = _sweep_runner(args)
-    by_key = {r.key: r for r in runner.run(cells)}
-
-    def shown(defense: str, attack: str) -> str:
-        result = by_key.get(f"defense-grid/{defense}/{attack}")
-        if result is None or not result.ok:
-            return "FAILED"
-        return result.value
-
+    runner = SweepRunner(jobs=args.jobs, root_seed=args.seed)
+    by_key = {r.key: r.value for r in runner.run(cells)}
     rows = [
-        [d] + [shown(d, attack) for attack, _label in GRID_ATTACKS]
+        [d] + [by_key[f"defense-grid/{d}/{attack}"] for attack, _label in GRID_ATTACKS]
         for d in GRID_DEFENSES
     ]
     print(format_table(
@@ -272,9 +226,6 @@ def _cmd_defense_grid(args: argparse.Namespace) -> int:
         rows,
         title="defense grid (demo machine, 30K-unit weak cells)",
     ))
-    if runner.last_failures:
-        _print_sweep_failures(runner, args.fail_policy)
-        return 1
     return 0
 
 
@@ -289,15 +240,11 @@ def _cmd_spec_overhead(args: argparse.Namespace) -> int:
         )
         for name in SPEC2006_INT
     ]
-    runner = _sweep_runner(args)
-    by_key = {r.key: r for r in runner.run(cells)}
+    runner = SweepRunner(jobs=args.jobs, root_seed=args.seed)
+    by_key = {r.key: r.value for r in runner.run(cells)}
     rows = []
     for name in SPEC2006_INT:
-        result = by_key.get(f"spec-overhead/{name}")
-        if result is None or not result.ok:
-            rows.append([name, "FAILED", "-", "-", "-"])
-            continue
-        run = result.value
+        run = by_key[f"spec-overhead/{name}"]
         rows.append([
             name,
             f"{run.normalized_time:.4f}",
@@ -312,9 +259,6 @@ def _cmd_spec_overhead(args: argparse.Namespace) -> int:
         title=f"SPEC2006 int, {args.seconds:.0f}s horizon "
               "(normalized to unprotected @64 ms)",
     ))
-    if runner.last_failures:
-        _print_sweep_failures(runner, args.fail_policy)
-        return 1
     return 0
 
 

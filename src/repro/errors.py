@@ -50,23 +50,20 @@ class EvictionSetError(ReproError):
 
 
 class SweepError(ReproError):
-    """One or more sweep cells failed under the ``strict`` failure policy.
+    """One or more sweep cells failed; raised once every cell has run.
 
     ``failures`` holds the structured :class:`~repro.runner.JobResult`
-    error records (``ok=False``) of every cell that exhausted its
-    attempts; the surviving results are in ``results`` so a strict
-    caller can still inspect (or salvage) the partial sweep.
+    error records (``ok=False``) of every cell that raised, lost its
+    pool worker, or returned a value that could not cross the process
+    boundary; the surviving results are in ``results`` so a caller can
+    still inspect (or salvage) the partial sweep.
     """
 
     def __init__(self, failures, results=None):
         self.failures = list(failures)
         self.results = list(results) if results is not None else []
-        keys = ", ".join(r.key for r in self.failures[:5])
-        if len(self.failures) > 5:
-            keys += ", ..."
-        super().__init__(
-            f"{len(self.failures)} sweep cell(s) failed after retries: {keys}"
-        )
+        keys = ", ".join(r.key for r in self.failures)
+        super().__init__(f"{len(self.failures)} sweep cell(s) failed: {keys}")
 
 
 class CacheCorruptionError(ReproError):

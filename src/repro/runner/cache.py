@@ -10,11 +10,11 @@ only changed cells.
 Writes are atomic (tmp file + ``os.replace``) so concurrent workers and
 parallel bench runs can never observe a torn entry.  Every entry carries
 an integrity header — a magic tag plus a truncated SHA-256 of the pickle
-payload — so bit-rot, torn files from crashed writers, and injected
-corruption are *detected*, not deserialized: a corrupt entry counts as a
-miss, is moved into a ``quarantine/`` subdirectory on first sight (never
-re-read every run), and :meth:`ResultCache.verify` scrubs a whole cache
-directory on demand (exposed as ``python -m repro cache verify``).
+payload — so bit-rot and torn files from crashed writers are *detected*,
+not deserialized: a corrupt entry counts as a miss, is moved into a
+``quarantine/`` subdirectory on first sight (never re-read every run),
+and :meth:`ResultCache.verify` scrubs a whole cache directory on demand
+(exposed as ``python -m repro cache verify``).
 """
 
 from __future__ import annotations
@@ -157,9 +157,6 @@ class ResultCache:
 
     def __init__(self, directory: str | os.PathLike) -> None:
         self.directory = Path(directory)
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
         self.corrupt = 0
         self.quarantined = 0
 
@@ -184,22 +181,17 @@ class ResultCache:
         try:
             blob = path.read_bytes()
         except OSError:
-            self.misses += 1
             return self.MISS
         try:
-            value = decode_entry(blob)
+            return decode_entry(blob)
         except CacheCorruptionError:
             self.corrupt += 1
-            self.misses += 1
             self._quarantine(path)
             return self.MISS
-        self.hits += 1
-        return value
 
     def put(self, key: str, value: Any) -> bool:
         """Atomically persist ``value`` under ``key``; returns False if
-        the value cannot be pickled (the cell simply recomputes next run,
-        exactly like an unjournallable value on resume)."""
+        the value cannot be pickled (the cell simply recomputes next run)."""
         try:
             entry = encode_entry(value)
         except Exception:
@@ -224,7 +216,6 @@ class ResultCache:
             except OSError:
                 pass
             raise
-        self.stores += 1
         return True
 
     def _quarantine(self, path: Path) -> None:

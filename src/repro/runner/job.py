@@ -89,26 +89,21 @@ class Job:
             pass_seed=pass_seed,
         )
 
-    @property
-    def kwargs(self) -> dict[str, Any]:
-        return dict(self.params)
-
 
 @dataclass(frozen=True)
 class JobResult:
     """One completed cell, in sweep input order.
 
     Equality intentionally ignores the run-to-run bookkeeping fields
-    (``duration_s``, ``cached``, ``resumed``, ``attempts``, and the
-    error detail strings); two results compare equal iff the same job
-    produced the same outcome (value + ``ok``) with the same seed — the
-    property the equivalence gates assert between serial, parallel,
-    cached, and fault-recovered executions.
+    (``duration_s``, ``cached``, and the error detail strings); two
+    results compare equal iff the same job produced the same outcome
+    (value + ``ok``) with the same seed — the property the equivalence
+    gates assert between serial, parallel, and cached executions.
 
-    A failed cell (every retry exhausted) is still a ``JobResult``:
-    ``ok=False``, ``value=None``, with the exception's class name and
-    message captured in ``error_type``/``error`` — sweeps never lose an
-    exception into a worker's void.
+    A failed cell is still a ``JobResult``: ``ok=False``, ``value=None``,
+    with the exception's class name and message captured in
+    ``error_type``/``error`` — sweeps never lose an exception into a
+    worker's void.
     """
 
     key: str
@@ -119,8 +114,6 @@ class JobResult:
     ok: bool = True
     error: str | None = field(default=None, compare=False)
     error_type: str | None = field(default=None, compare=False)
-    attempts: int = field(default=1, compare=False)
-    resumed: bool = field(default=False, compare=False)
 
 
 def run_job(job: Job, seed: int | None) -> Any:
@@ -130,7 +123,7 @@ def run_job(job: Job, seed: int | None) -> Any:
     execution time and called with keyword arguments only.
     """
     fn = resolve_callable(job.fn)
-    kwargs = job.kwargs
+    kwargs = dict(job.params)
     if job.pass_seed:
         kwargs["seed"] = seed
     return fn(**kwargs)

@@ -54,19 +54,17 @@ def canonical_repr(obj: Any) -> str:
     return repr(obj)
 
 
-def stable_hash(*parts: Any) -> int:
-    """A 64-bit hash of ``parts`` that is identical in every process."""
-    digest = hashlib.sha256(
-        "\x1f".join(canonical_repr(p) for p in parts).encode()
-    ).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
 def stable_digest(*parts: Any) -> str:
     """Full hex SHA-256 of ``parts`` (cache keys / filenames)."""
     return hashlib.sha256(
         "\x1f".join(canonical_repr(p) for p in parts).encode()
     ).hexdigest()
+
+
+def stable_hash(*parts: Any) -> int:
+    """A 64-bit hash of ``parts`` that is identical in every process: the
+    first 8 bytes of :func:`stable_digest`, big-endian."""
+    return int(stable_digest(*parts)[:16], 16)
 
 
 def derive_seed(root_seed: int, job_key: str) -> int:

@@ -2,10 +2,10 @@
 construction.
 
 The same 12-cell sweep runs on both and must yield bit-identical
-:class:`JobResult` lists — values, seeds, ordering, and failure records —
-and, under a checkpoint, identical journal *content*.  Placement is
-irrelevant because per-cell seeds derive from ``(root_seed, key)``
-alone; these tests are the enforcement.
+:class:`JobResult` lists — values, seeds, and ordering — and the same
+failure records when a cell raises: it runs once and is named.
+Placement is irrelevant because per-cell seeds derive from
+``(root_seed, key)`` alone; these tests are the enforcement.
 """
 
 from __future__ import annotations
@@ -14,16 +14,8 @@ import random
 
 import pytest
 
-from repro.errors import ConfigError
-from repro.runner import (
-    Fault,
-    FaultPlan,
-    Job,
-    SweepJournal,
-    SweepRunner,
-    code_fingerprint,
-    sweep_id,
-)
+from repro.errors import ConfigError, SweepError
+from repro.runner import Job, SweepRunner
 
 ROOT_SEED = 11
 
@@ -34,9 +26,9 @@ def conformance_cell(a: int, b: str, seed: int) -> tuple:
     return (a, b, seed, rng.random(), tuple(rng.sample(range(100), 5)))
 
 
-def make_grid() -> list[Job]:
+def make_grid(cell=conformance_cell, **extra) -> list[Job]:
     return [
-        Job.of(conformance_cell, key=f"grid/{a}/{b}", a=a, b=b)
+        Job.of(cell, key=f"grid/{a}/{b}", a=a, b=b, **extra)
         for a in range(4)
         for b in ("x", "y", "z")
     ]
@@ -67,47 +59,32 @@ def test_backend_matches_serial_reference(backend):
     assert runner.last_stats["cells"] == len(cells)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_backend_matches_serial_under_faults(backend):
-    """A crash + a permanent error still converge to the same results."""
-    plan = FaultPlan.of(
-        Fault(kind="crash", cell="grid/0/x", attempts=(1,)),
-        Fault(kind="error", cell="grid/2/y", attempts=None),  # permanent
-    )
-    cells = make_grid()
-    ref_runner = SweepRunner(jobs=1, root_seed=ROOT_SEED, backend="serial",
-                             policy="degrade", fault_plan=plan)
-    reference = ref_runner.run(cells)
-    runner = make_runner(backend, policy="degrade", fault_plan=plan)
-    results = runner.run(cells)
-    assert results == reference
-    assert [r.key for r in runner.last_failures] == ["grid/2/y"]
-    assert runner.last_stats["retries"] >= 1
+def counting_cell(a: int, b: str, calls: str, seed: int) -> tuple:
+    """:func:`conformance_cell` that logs each execution to ``calls`` and
+    raises for ``grid/2/y``."""
+    with open(calls, "a") as log:
+        log.write(f"{a}/{b}\n")
+    if (a, b) == (2, "y"):
+        raise RuntimeError("cell 2/y is broken")
+    return conformance_cell(a, b, seed)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_backend_journal_content_identical(backend, tmp_path):
-    """The checkpoint journal records the same completed cells with the
-    same payloads in-process and on the pool (kept alive by a permanent
-    failure under ``degrade``)."""
-    plan = FaultPlan.of(Fault(kind="error", cell="grid/3/z", attempts=None))
-    cells = make_grid()
-    keys = [job.key for job in cells]
-    jid = sweep_id(ROOT_SEED, keys, code_fingerprint())
-
-    journals = {}
-    for name, path in ((backend, tmp_path / f"{backend}.journal"),
-                       ("serial", tmp_path / "reference.journal")):
-        runner = make_runner(name, policy="degrade", fault_plan=plan,
-                             checkpoint=path)
-        runner.run(cells)
-        journals[path] = SweepJournal(path).load(jid)
-
-    this, reference = journals.values()
-    assert set(this) == set(reference)
-    for key in reference:
-        assert this[key] == reference[key]
-        assert this[key].value == reference[key].value
+def test_failing_cell_runs_once_and_is_named(backend, tmp_path):
+    calls = tmp_path / "calls.log"
+    cells = make_grid(counting_cell, calls=str(calls))
+    with pytest.raises(SweepError, match="grid/2/y") as excinfo:
+        make_runner(backend).run(cells)
+    assert len(calls.read_text().splitlines()) == len(cells)
+    assert [(r.key, r.error_type) for r in excinfo.value.failures] == [
+        ("grid/2/y", "RuntimeError")
+    ]
+    # The survivors are bit-identical to the clean grid's cells.
+    reference = SweepRunner(jobs=1, root_seed=ROOT_SEED).run(make_grid())
+    assert [r.value for r in excinfo.value.results] == [
+        r.value for r in reference if r.key != "grid/2/y"
+    ]
+    assert len(excinfo.value.results) == len(cells) - 1
 
 
 # -- construction ---------------------------------------------------------------
@@ -118,11 +95,6 @@ def test_unknown_backend_rejected():
         SweepRunner(backend="tcp")
 
 
-def test_runner_rejects_direct_pool_import():
-    """SweepRunner's module never touches concurrent.futures — pool
-    mechanics live only in the process backend."""
-    import repro.runner.runner as runner_module
-
-    source = open(runner_module.__file__).read()
-    assert "ProcessPoolExecutor" not in source
-    assert "concurrent.futures" not in source
+def test_checkpoint_path_rejected(tmp_path):
+    with pytest.raises(ConfigError, match="result cache"):
+        SweepRunner(checkpoint=tmp_path / "sweep.journal")

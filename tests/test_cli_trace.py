@@ -6,10 +6,12 @@ import io
 
 import pytest
 
+import repro.sim.epoch
 from repro.cli import main
 from repro.errors import SimulationError
 from repro.sim import clflush, compute, load, mfence, pair_load, store
 from repro.sim.trace import format_op, iter_trace, parse_op, read_trace, write_trace
+from repro.workloads import SPEC2006_INT
 
 
 # -- trace round trips ---------------------------------------------------------------
@@ -106,6 +108,18 @@ def test_cli_spec_overhead(capsys):
     assert main(["spec-overhead", "--seconds", "2"]) == 0
     out = capsys.readouterr().out
     assert "mcf" in out and "ANVIL time" in out
+
+
+def test_cli_failed_sweep_cell_exits_2_naming_it(monkeypatch, capsys):
+    # Cells are looked up by name when they run, so this breaks every one.
+    def broken_cell(**kwargs):
+        raise RuntimeError("broken cell")
+
+    monkeypatch.setattr(repro.sim.epoch, "run_epoch_cell", broken_cell)
+    assert main(["spec-overhead", "--seconds", "2", "--jobs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert f"{len(SPEC2006_INT)} sweep cell(s) failed" in err
+    assert all(f"spec-overhead/{name}" in err for name in SPEC2006_INT)
 
 
 def test_cli_requires_command(capsys):

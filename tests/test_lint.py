@@ -254,7 +254,7 @@ def test_repo_sources_are_clean():
     )
     # The DET closure actually reaches the serialization/execution stack
     # and the simulator the cells run, down to every layer of the model.
-    for module in ("repro.runner.seeding", "repro.runner.backends.base",
+    for module in ("repro.runner.seeding", "repro.runner.runner",
                    "repro.sim.machine", "repro.sim.fastpath",
                    "repro.mem.memory_system", "repro.cache.cache",
                    "repro.dram.device", "repro.pmu.pmu"):

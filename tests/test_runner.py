@@ -1,4 +1,5 @@
-"""repro.runner — deterministic seeding, caching, and pool fallback.
+"""repro.runner — deterministic seeding, caching, pool fallback, and
+named failures.
 
 The cells used here are module-level functions: runner jobs name their
 callable by ``module:qualname`` spec so process-pool workers can import
@@ -7,15 +8,20 @@ them (lambdas and locals are rejected at Job construction).
 
 from __future__ import annotations
 
+import json
 import os
 import random
+import subprocess
+import sys
 import threading
+import time
 import warnings
+from pathlib import Path
 
 import pytest
 
-import repro.runner.backends.process as process_backend
 import repro.runner.runner as runner_module
+from repro.errors import SweepError
 from repro.runner import (
     Job,
     JobResult,
@@ -249,18 +255,15 @@ def test_cache_verify_scrub(tmp_path):
 
 
 def lock_cell(a: int):
-    """A value no pickler accepts (cannot be cached, journalled, or
-    returned from a pool worker)."""
+    """A value no pickler accepts (cannot be cached or returned from a
+    pool worker)."""
     return threading.Lock() if a == 1 else a
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_unpicklable_value_with_cache_skips_the_store(tmp_path, jobs):
+def test_unpicklable_value_with_cache_skips_the_store(tmp_path):
     cells = [Job.of(lock_cell, key=f"l/{a}", pass_seed=False, a=a)
              for a in range(3)]
-    runner = SweepRunner(jobs=jobs, cache=tmp_path / "c", policy="degrade")
-    results = runner.run(cells)
-    assert not runner.last_failures
+    results = SweepRunner(jobs=1, cache=tmp_path / "c").run(cells)
     assert [r.value for r in results[::2]] == [0, 2]
     assert isinstance(results[1].value, type(threading.Lock()))
     # The unpicklable cell simply recomputes next run; the others hit.
@@ -289,36 +292,17 @@ class _ExplodingPool:
 
 
 def test_pool_failure_falls_back_to_serial(monkeypatch):
-    monkeypatch.setattr(process_backend, "ProcessPoolExecutor", _ExplodingPool)
+    monkeypatch.setattr(runner_module, "ProcessPoolExecutor", _ExplodingPool)
     cells = make_grid()
     runner = SweepRunner(jobs=4, root_seed=3)
-    results = runner.run(cells)
+    with pytest.warns(RuntimeWarning, match="running serially"):
+        results = runner.run(cells)
     assert runner.last_stats["mode"] == "serial-fallback"
     assert results == SweepRunner(jobs=1, root_seed=3).run(cells)
 
 
-def test_unpicklable_result_falls_back_to_serial():
-    # A lambda *result* cannot cross the process boundary; the job itself
-    # is importable.  The pool raises PicklingError and the runner retries
-    # serially, where no pickling happens.
-    cells = [
-        Job.of(unpicklable_cell, key=f"u/{tag}", pass_seed=False, tag=tag)
-        for tag in ("t0", "t1", "t2", "t3")
-    ]
-    runner = SweepRunner(jobs=2, root_seed=0)
-    results = runner.run(cells)
-    assert runner.last_stats["mode"] == "serial-fallback"
-    assert [r.value()() for r in results] == ["t0", "t1", "t2", "t3"]
-
-
-def unpicklable_cell(tag: str):
-    return lambda: (lambda: tag)
-
-
-class _AlwaysBrokenPool:
-    """A pool whose every submit reports a dead worker — the repeated
-    mid-sweep ``BrokenProcessPool`` shape (e.g. cgroup OOM-killing each
-    fresh worker)."""
+class _BrokenPool:
+    """A pool whose worker died before any cell could be submitted."""
 
     def __init__(self, *args, **kwargs):
         pass
@@ -326,20 +310,87 @@ class _AlwaysBrokenPool:
     def submit(self, fn, *args, **kwargs):
         from concurrent.futures.process import BrokenProcessPool
 
-        raise BrokenProcessPool("worker died before the task ran")
+        raise BrokenProcessPool("a child process terminated abruptly")
 
     def shutdown(self, wait=True, cancel_futures=False):
         pass
 
 
-def test_persistent_broken_pool_degrades_to_serial(monkeypatch):
-    monkeypatch.setattr(process_backend, "ProcessPoolExecutor", _AlwaysBrokenPool)
+def test_broken_pool_at_submit_fails_every_cell_by_name(monkeypatch):
+    monkeypatch.setattr(runner_module, "ProcessPoolExecutor", _BrokenPool)
     cells = make_grid()
-    runner = SweepRunner(jobs=4, root_seed=3)
-    results = runner.run(cells)
-    assert runner.last_stats["mode"] == "serial-fallback"
-    assert runner.last_stats["pool_breaks"] > 0
-    assert results == SweepRunner(jobs=1, root_seed=3).run(cells)
+    with pytest.raises(SweepError) as excinfo:
+        SweepRunner(jobs=4, root_seed=3).run(cells)
+    assert [r.key for r in excinfo.value.failures] == [job.key for job in cells]
+    assert {r.error_type for r in excinfo.value.failures} == {"BrokenProcessPool"}
+
+
+def unpicklable_cell(tag: str):
+    return (lambda: tag) if tag == "t1" else tag
+
+
+def test_unpicklable_pool_result_is_a_named_failure():
+    # A lambda *result* cannot cross the process boundary (the job itself
+    # is importable): that cell fails by name, the others survive.
+    cells = [
+        Job.of(unpicklable_cell, key=f"u/{tag}", pass_seed=False, tag=tag)
+        for tag in ("t0", "t1", "t2", "t3")
+    ]
+    runner = SweepRunner(jobs=2, root_seed=0)
+    with pytest.raises(SweepError, match="u/t1") as excinfo:
+        runner.run(cells)
+    assert runner.last_stats["mode"] == "parallel"
+    assert [r.key for r in excinfo.value.failures] == ["u/t1"]
+    assert [r.value for r in excinfo.value.results] == ["t0", "t2", "t3"]
+
+
+def crash_cell(a: int, seed: int) -> tuple:
+    """Kill the pool worker running cell 3 once the others have had time
+    to finish; every other cell is :func:`grid_cell`."""
+    if a == 3:
+        time.sleep(1.0)
+        os._exit(3)
+    return grid_cell(a, "p", seed)
+
+
+DEAD_WORKER_SWEEP = """
+import json, sys
+from repro.errors import SweepError
+from repro.runner import Job, SweepRunner
+from tests.test_runner import crash_cell
+
+cells = [Job.of(crash_cell, key=f"c/{a}", a=a) for a in range(4)]
+try:
+    SweepRunner(jobs=2, root_seed=5, cache=sys.argv[1]).run(cells)
+except SweepError as exc:
+    print(json.dumps({
+        "failed": [[r.key, r.error_type] for r in exc.failures],
+        "survivors": [r.key for r in exc.results],
+    }))
+"""
+
+
+def test_dead_worker_fails_the_sweep_not_the_parent(tmp_path):
+    # The sweep runs in a child interpreter so that a runner which lets a
+    # dying cell take its caller down fails this test instead of pytest.
+    repo = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(repo / "src"), str(repo)]))
+    child = subprocess.run(
+        [sys.executable, "-c", DEAD_WORKER_SWEEP, str(tmp_path / "c")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    report = json.loads(child.stdout)
+    failed = dict(report["failed"])
+    assert "c/3" in failed
+    assert set(failed.values()) == {"BrokenProcessPool"}
+    assert sorted([*failed, *report["survivors"]]) == ["c/0", "c/1", "c/2", "c/3"]
+    assert report["survivors"], "no cell completed before the crash"
+    # Cells that completed before the crash were cached as they finished.
+    survivors = [Job.of(crash_cell, key=k, a=int(k[2:])) for k in report["survivors"]]
+    rerun = SweepRunner(jobs=1, root_seed=5, cache=tmp_path / "c")
+    rerun.run(survivors)
+    assert rerun.last_stats["cache_hits"] == len(survivors)
 
 
 def interruptible_cell(a: int, flag_path: str, seed: int) -> tuple:
@@ -348,33 +399,28 @@ def interruptible_cell(a: int, flag_path: str, seed: int) -> tuple:
     return (a, seed)
 
 
-def test_keyboard_interrupt_flushes_checkpoint_for_resume(tmp_path):
+def test_interrupted_sweep_resumes_from_cache(tmp_path):
     flag = tmp_path / "interrupt-now"
     flag.touch()
     cells = [
         Job.of(interruptible_cell, key=f"k/{i}", a=i, flag_path=str(flag))
         for i in range(6)
     ]
-    journal = tmp_path / "sweep.journal"
-    runner = SweepRunner(jobs=1, root_seed=1, checkpoint=journal)
     with pytest.raises(KeyboardInterrupt):
-        runner.run(cells)
-    assert journal.exists()  # completed cells were flushed before the abort
+        SweepRunner(jobs=1, root_seed=1, cache=tmp_path / "c").run(cells)
 
     flag.unlink()  # "restart": the interrupt condition is gone
-    resumed = SweepRunner(jobs=1, root_seed=1, checkpoint=journal)
+    resumed = SweepRunner(jobs=1, root_seed=1, cache=tmp_path / "c")
     results = resumed.run(cells)
-    assert resumed.last_stats["journal_hits"] == 2  # cells 0 and 1
+    assert resumed.last_stats["cache_hits"] == 2  # cells 0 and 1
     assert resumed.last_stats["executed"] == 4
     assert [r.key for r in results] == [job.key for job in cells]
     assert results == SweepRunner(jobs=1, root_seed=1).run(cells)
-    assert not journal.exists()
 
 
 def test_jobresult_equality_ignores_bookkeeping():
     a = JobResult(key="k", value=1, seed=2, cached=True, duration_s=0.5)
-    b = JobResult(key="k", value=1, seed=2, cached=False, duration_s=9.9,
-                  attempts=3, resumed=True)
+    b = JobResult(key="k", value=1, seed=2, cached=False, duration_s=9.9)
     assert a == b
     # ...but a failure never equals a success.
     failed = JobResult(key="k", value=None, seed=2, ok=False,
