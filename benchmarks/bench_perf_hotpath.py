@@ -1,6 +1,6 @@
 """Hot-path engine microbenchmark: ``Machine.run`` vs ``Machine.run_fast``.
 
-Measures simulated-ops/sec on three workload shapes and proves, on every
+Measures simulated-ops/sec on six workload shapes and proves, on every
 measured run, that the fast path is *bit-for-bit equivalent* to the
 reference interpreter (identical :class:`RunResult`, final clock, PMU
 counters, and cache/controller/device statistics on twin machines fed the
@@ -21,6 +21,12 @@ same op stream):
   ``PAIR_LOAD`` ops steering the LLC's Bit-PLRU state through two
   eviction sets, so most loads miss L1/L2 and one pair in six reaches
   DRAM.  Gated at >= 1.5x; replacement-policy updates dominate it.
+- **hammer_background**: hammer_same_bank with the heavy-load co-runners
+  (``BackgroundMix(seed=1)``, paper Section 4.2) attached, so every
+  foreground load is followed by injected co-runner accesses, which the
+  fast path walks inline.  Gated at >= 1.3x; the co-runners' own op
+  generators and the shared cache-miss model take most of the time on
+  both engines.  Its equivalence probe includes the injected-op count.
 
 Results are published under ``benchmarks/results/perf_hotpath.{txt,json}``
 and the machine-readable summary is also written to ``BENCH_hotpath.json``
@@ -57,13 +63,20 @@ from repro.dram.mapping import DramCoord
 from repro.presets import small_machine
 from repro.sim.ops import CLFLUSH, COMPUTE, LOAD, STORE
 from repro.units import MB
+from repro.workloads import BackgroundMix
 
 from _common import publish
 
 #: Required run_fast/run speedups per gated workload.  hammer_same_bank
 #: exercises the row-conflict + disturbance path, made allocation-free by
-#: DramDevice.access_miss_fast; clflush_free the inline PAIR_LOAD arm.
-GATES = {"hammer": 3.0, "hammer_same_bank": 2.5, "clflush_free": 1.5}
+#: DramDevice.access_miss_fast; clflush_free the inline PAIR_LOAD arm;
+#: hammer_background the inline co-runner injection.
+GATES = {
+    "hammer": 3.0,
+    "hammer_same_bank": 2.5,
+    "clflush_free": 1.5,
+    "hammer_background": 1.3,
+}
 PAGE = 4096
 
 
@@ -129,7 +142,11 @@ WORKLOADS = {
     "stream": stream_ops,
     "mixed": mixed_ops,
     "clflush_free": clflush_free_ops,
+    "hammer_background": lambda m, n: hammer_ops(m, n, same_bank=True),
 }
+
+#: Workloads run with the heavy-load co-runners attached: the mix seed.
+CO_RUNNER_SEEDS = {"hammer_background": 1}
 
 
 # -- equivalence probe --------------------------------------------------------
@@ -171,24 +188,31 @@ def state_snapshot(machine):
 # -- measurement --------------------------------------------------------------
 
 
-def run_once(builder, n, fast):
+def run_once(name, builder, n, fast):
     machine = small_machine(threshold_min=30_000)
+    mix = None
+    if name in CO_RUNNER_SEEDS:
+        mix = BackgroundMix(seed=CO_RUNNER_SEEDS[name])
+        mix.attach(machine)
     ops = builder(machine, n)
     runner = machine.run_fast if fast else machine.run
     t0 = time.perf_counter()
     result = runner(ops)
     elapsed = time.perf_counter() - t0
-    return elapsed, result_tuple(result), state_snapshot(machine)
+    state = state_snapshot(machine)
+    if mix is not None:
+        state["injected_ops"] = mix.injected_ops
+    return elapsed, result_tuple(result), state
 
 
 def measure(name, builder, n, reps):
     slow_times, fast_times = [], []
     slow_probe = fast_probe = None
     for _ in range(reps):
-        elapsed, result, state = run_once(builder, n, fast=False)
+        elapsed, result, state = run_once(name, builder, n, fast=False)
         slow_times.append(elapsed)
         slow_probe = (result, state)
-        elapsed, result, state = run_once(builder, n, fast=True)
+        elapsed, result, state = run_once(name, builder, n, fast=True)
         fast_times.append(elapsed)
         fast_probe = (result, state)
     if slow_probe != fast_probe:
@@ -217,7 +241,7 @@ def main(argv=None):
     parser.add_argument("--ops", type=int, default=60_000,
                         help="ops per workload per rep (default 60000)")
     parser.add_argument("--no-gate", action="store_true",
-                        help="report but do not enforce the hammer gate")
+                        help="report but do not enforce the speedup gates")
     args = parser.parse_args(argv)
     if args.reps < 1:
         parser.error("--reps must be >= 1")

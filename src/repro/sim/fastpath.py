@@ -37,11 +37,26 @@ that order, each updating the PMU and offering to the sampler at the
 current clock (a sampled first load's PMI cost lands before the second
 retires); timers fire once, after both.
 
-**Hook stepping.**  While an access hook or memory-system listener is
-registered (``BackgroundMix`` co-runners, diagnostics), every access must
-materialise a record for it, so the engine steps ``Machine.execute`` op
-by op with the same counting and stop bookkeeping, and resumes batching
-once none remains.
+**Co-runner injection.**  ``BackgroundMix`` registers one access hook
+and names it in ``Machine.co_runner``.  While that hook is the only one,
+no memory-system listener is registered and no access counter has an
+overflow armed, the engine stays batched and, after each deferred
+LOAD/STORE retire and once per deferred PAIR_LOAD (the pair's second
+retire sees no elapsed time), calls ``co_runner(None, cycles, walk)``
+with an inline walk: a software-TLB lookup (``translate`` on a miss), the
+PAIR_LOAD cache + DRAM walk without the decode memo (co-runner misses
+rarely repeat an address), deferred shared PMU counts, and an offer to
+the aux-core sampler only when it is enabled and due.  The mix keeps the
+injection schedule, so a retire that takes a slow-path excursion (a
+sample, observer, timer or slow op) reaches the same schedule through
+the hook, and both interleave exactly as in ``Machine.run``.  COMPUTE,
+MFENCE and CLFLUSH retire no record and inject nothing.
+
+**Hook stepping.**  While any other access hook or a memory-system
+listener is registered, or co-runners run beside an armed access
+counter, every access must materialise a record for it, so the engine
+steps ``Machine.execute`` op by op with the same counting and stop
+bookkeeping, and resumes batching once that no longer holds.
 
 **When the slow path is taken** (the engine falls back to plain
 ``Machine.execute`` for the op, or takes a bookkeeping excursion, then
@@ -71,9 +86,11 @@ Invariants the engine relies on (pinned by the equivalence suite in
   batch, so the hoisted locals are never stale;
 - deferred counter increments are only used while no overflow interrupt
   is programmed on that counter, and deferred counts and statistics are
-  flushed before any callback, sample offer, predicate, or return;
-- hooks and listeners are only registered or removed by those same
-  callbacks, so a batch that opens with none keeps none;
+  flushed before any callback, sample offer, predicate, or return (the
+  aux-core sampler's offers excepted: it reads neither);
+- hooks, listeners, ``Machine.co_runner`` and counter overflows only
+  change inside those same callbacks, so a batch keeps the mode it opened
+  in (plain, or injecting co-runner traffic inline);
 - ops are pulled from the stream one at a time (never prefetched), so
   generators that count iterations or produce ops lazily observe the
   same consumption order as ``Machine.run``.
@@ -117,6 +134,7 @@ def execute_fast(
     vm = memory.vm
     l1, l2, llc = hierarchy.l1, hierarchy.l2, hierarchy.llc
     execute = machine.execute
+    translate = memory._translate
     fallbacks = machine.fast_fallbacks
 
     # -- run-constant state -----------------------------------------------------
@@ -265,10 +283,30 @@ def execute_fast(
                 if done:
                     stopped = "until"
 
-    def _pair_half(paddr: int, t0: int) -> tuple:
+    def _must_step() -> bool:
+        """True while an access hook or listener needs every record: any
+        of them but the co-runner's hook alone with every access counter
+        unarmed (see "Co-runner injection" above)."""
+        if not (hooks or listeners):
+            return False
+        co_runner = machine.co_runner
+        return bool(
+            listeners
+            or len(hooks) != 1
+            or co_runner is None
+            or not hooks[0] == co_runner  # == matches wrappers of the hook
+            or c_loads._next_overflow is not None
+            or c_stores._next_overflow is not None
+            or c_miss._next_overflow is not None
+            or c_load_miss._next_overflow is not None
+            or c_store_miss._next_overflow is not None
+        )
+
+    def _pair_half(paddr: int, t0: int, memo: bool = True) -> tuple:
         """One load of a PAIR_LOAD starting at ``t0``: the inline cache walk
-        and DRAM access of the LOAD arm below.  Returns the MemoryAccess
-        fields from ``level`` on; retirement is the caller's."""
+        and DRAM access of the LOAD arm below (``memo=False`` skips the
+        decode memo).  Returns the MemoryAccess fields from ``level`` on;
+        retirement is the caller's."""
         nonlocal d1_hit, d1_miss, d1_evict, d2_hit, d2_miss, d2_evict
         nonlocal d3_hit, d3_miss, d3_evict
         nonlocal d_ctl_acc, d_ctl_lat, d_ctl_blocked
@@ -347,14 +385,18 @@ def execute_fast(
             )
         pos = t_mem % trefi
         blocked = trfc - pos if pos < trfc else 0
-        ent = decode_memo_get(paddr)
-        if ent is None:
+        if memo:
+            ent = decode_memo_get(paddr)
+            if ent is None:
+                coord = decode(paddr)
+                if len(decode_memo) >= _DECODE_MEMO_MAX:
+                    decode_memo.clear()
+                ent = (coord, coord.rank * banks_per_rank + coord.bank)
+                decode_memo[paddr] = ent
+            coord, bank = ent
+        else:
             coord = decode(paddr)
-            if len(decode_memo) >= _DECODE_MEMO_MAX:
-                decode_memo.clear()
-            ent = (coord, coord.rank * banks_per_rank + coord.bank)
-            decode_memo[paddr] = ent
-        coord, bank = ent
+            bank = coord.rank * banks_per_rank + coord.bank
         d_dev_acc += 1
         if open_rows[bank] == coord.row:
             d_dev_hit += 1
@@ -372,10 +414,32 @@ def execute_fast(
         d_ctl_blocked += blocked
         return ("DRAM", lat_miss + dram_lat, True, coord, activated, flips_n)
 
+    def _co_runner_walk(vaddr: int, is_store: bool, t: int) -> None:
+        """One injected co-runner access at ``t``: ``MemorySystem.access``
+        plus ``Pmu.on_access_other_core``, with the shared counts deferred."""
+        nonlocal d_loads, d_stores, d_miss, d_load_miss, d_store_miss
+        frame = tlb_get(vaddr >> page_bits)
+        paddr = translate(vaddr) if frame is None else frame | (vaddr & offset_mask)
+        half = _pair_half(paddr, t, False)
+        if is_store:
+            d_stores += 1
+            if half[2]:
+                d_miss += 1
+                d_store_miss += 1
+        else:
+            d_loads += 1
+            if half[2]:
+                d_miss += 1
+                d_load_miss += 1
+        # The offer has no side effect before the sampler is due.
+        if aux_on and t >= aux_sampler._next_sample_at:
+            aux_sampler.offer(MemoryAccess(vaddr, paddr, is_store, *half), t)
+
     while stopped is None:
-        if hooks or listeners:
+        if _must_step():
             # -- hook stepping: each access must reach a hook or listener,
-            # so run the reference interpreter op by op until none remains.
+            # so run the reference interpreter op by op until batching
+            # (plain or with inline co-runners) can resume.
             stepped = 0
             for op in it:
                 outcome = execute(op)
@@ -400,7 +464,7 @@ def execute_fast(
                         if until(machine):
                             stopped = "until"
                             break
-                if not (hooks or listeners):
+                if not _must_step():
                     break  # resume batching
             else:
                 stopped = "exhausted"
@@ -409,6 +473,9 @@ def execute_fast(
             continue
 
         # -- (re)hoist state a callback or slow-path op may have changed ------
+        inject = machine.co_runner if hooks else None
+        aux_sampler = pmu.aux_sampler
+        aux_on = aux_sampler is not None and aux_sampler.enabled
         cycles = machine.cycles
         next_deadline = machine._next_deadline
         clflush_ok = memory.clflush_allowed
@@ -673,6 +740,8 @@ def execute_fast(
                         else:
                             d_loads += 1
                             d_load_miss += 1
+                    if inject is not None:
+                        inject(None, cycles, _co_runner_walk)
             elif kind == COMPUTE:
                 cycles += op[1]
                 n += 1
@@ -776,6 +845,8 @@ def execute_fast(
                     if miss_b:
                         d_miss += 1
                         d_load_miss += 1
+                    if inject is not None:
+                        inject(None, cycles, _co_runner_walk)
             elif kind == MFENCE:
                 cycles += mfence_cycles
                 n += 1

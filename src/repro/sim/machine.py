@@ -65,6 +65,13 @@ class Machine:
         self._next_deadline = FAR_FUTURE
         self._pair_lcg = 0x2545F491
         self._access_hooks: list[Callable[[MemoryAccess, int], None]] = []
+        #: The access hook of the attached co-runner mix (set by
+        #: ``BackgroundMix.attach``, cleared by ``detach``).  Besides the
+        #: hook call ``co_runner(record, t)``, it takes
+        #: ``co_runner(None, t, walk)``: inject the co-runner ops due by
+        #: ``t`` through ``walk(vaddr, is_store, t)``.  While it is the only
+        #: hook, the fast engine injects inline with its own walk.
+        self.co_runner: Callable[..., None] | None = None
         #: Fast-path fallbacks by reason (see :mod:`repro.sim.fastpath`):
         #: ``op_kind``, ``tlb_fill``, ``hook`` (one per stepped op),
         #: ``armed_counter``, ``pebs``, ``observer``, ``timer``, ``until``.

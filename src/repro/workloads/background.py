@@ -11,8 +11,17 @@ by) and their loads/stores are PEBS-sampled by *their own core's*
 facility, so the pooled sample set the detector analyses contains both
 streams.  :class:`BackgroundMix` models exactly that: co-runner accesses
 are injected through the shared memory system interleaved with the
-foreground's (via a machine access hook, topped up by a timer when the
+foreground's (after each foreground retire, topped up by a timer when the
 foreground is compute-bound) and fed to the PMU's auxiliary-core sampler.
+
+The mix registers one machine access hook and names it in
+``Machine.co_runner``.  The reference interpreter reaches it through the
+hook, and each injected op walks ``MemorySystem.access`` and
+``Pmu.on_access_other_core``.  The fast engine calls it after each of its
+own deferred retires with an inline walk instead (see
+:mod:`repro.sim.fastpath`); the injection schedule (the float
+accumulator, the stream choice and the skipping of compute ops) lives
+here either way, so both engines inject the same ops at the same cycles.
 
 The default ``scale`` reflects the paper's testbed: an i5-2540M has two
 cores, so the three co-runners time-share one core — and contend with the
@@ -23,12 +32,16 @@ quarter of its standalone miss rate.
 from __future__ import annotations
 
 import random
-from typing import Iterator
+from typing import Callable, Iterator
 
+from ..errors import ConfigError
 from ..mem import MemoryAccess
 from ..sim.machine import Machine
 from ..sim.ops import CLFLUSH, COMPUTE, MFENCE, Op, STORE
 from .spec import SpecWorkload, spec_profile
+
+#: One injected co-runner access: ``walk(vaddr, is_store, time_cycles)``.
+Walk = Callable[[int, bool, int], None]
 
 
 def interleave(streams: list[Iterator[Op]], weights: list[float], seed: int = 0) -> Iterator[Op]:
@@ -46,6 +59,10 @@ class BackgroundMix:
     multiplies each co-runner's standalone miss rate (0.25 ~= three
     co-runners time-sharing the second core of the paper's dual-core
     testbed while contending for its memory system).
+
+    A mix attaches to one machine, once, and a machine carries at most
+    one mix (``Machine.co_runner``); :meth:`detach` stops injection for
+    good and may be called repeatedly.
     """
 
     HEAVY_TRIO = ("mcf", "libquantum", "omnetpp")
@@ -75,6 +92,10 @@ class BackgroundMix:
 
     def attach(self, machine: Machine) -> None:
         """Prepare co-runner buffers and start interleaved injection."""
+        if self._machine is not None:
+            raise ConfigError("this BackgroundMix is already attached")
+        if machine.co_runner is not None:
+            raise ConfigError("the machine already has a co-runner mix attached")
         self._machine = machine
         workloads = []
         for i, name in enumerate(self.benchmarks):
@@ -97,21 +118,31 @@ class BackgroundMix:
         self._running = True
         machine.pmu.enable_aux_core()  # co-runners retire on another core
         machine.add_access_hook(self._on_foreground_access)
+        machine.co_runner = self._on_foreground_access
         machine.schedule_in_ms(self.tick_ms, self._tick)
 
     def detach(self) -> None:
+        """Stop injecting and unregister the hook (idempotent)."""
+        machine = self._machine
+        if machine is None or not self._running:
+            return
         self._running = False
-        if self._machine is not None:
-            try:
-                self._machine.remove_access_hook(self._on_foreground_access)
-            except ValueError:
-                pass
+        machine.co_runner = None
+        machine.remove_access_hook(self._on_foreground_access)
 
     # -- injection ------------------------------------------------------------
 
-    def _on_foreground_access(self, access: MemoryAccess, time_cycles: int) -> None:
+    def _on_foreground_access(
+        self,
+        access: MemoryAccess | None,
+        time_cycles: int,
+        walk: Walk | None = None,
+    ) -> None:
+        """The access hook (``Machine.co_runner``): inject up to a
+        foreground retire.  The fast engine calls it with no record and
+        its own ``walk``."""
         del access
-        self._inject_up_to(time_cycles)
+        self._inject_up_to(time_cycles, walk)
 
     def _tick(self, machine: Machine) -> None:
         """Catch-up injector for compute-bound foreground phases."""
@@ -120,12 +151,17 @@ class BackgroundMix:
         self._inject_up_to(machine.cycles)
         machine.schedule_in_ms(self.tick_ms, self._tick)
 
-    def _inject_up_to(self, time_cycles: int) -> None:
-        """Inject the co-runner ops that retired since the last call."""
+    def _inject_up_to(self, time_cycles: int, walk: Walk | None = None) -> None:
+        """Inject the co-runner ops that retired since the last call.
+
+        ``_pending`` accumulates ``elapsed * ops_per_cycle`` per call, so
+        the schedule depends on how elapsed time is split: every engine
+        must call this after the same retires.  Each injected op is one
+        ``walk(vaddr, is_store, time_cycles)``; the default walk is the
+        reference chain (:meth:`_reference_walk`).
+        """
         if not self._running or self._injecting:
             return
-        machine = self._machine
-        assert machine is not None
         elapsed = time_cycles - self._last_cycles
         self._last_cycles = time_cycles
         if elapsed <= 0:
@@ -135,18 +171,25 @@ class BackgroundMix:
         if count <= 0:
             return
         self._pending -= count
+        if walk is None:
+            walk = self._reference_walk
         self._injecting = True  # co-runner accesses must not re-enter
         try:
-            memsys = machine.memory
-            pmu = machine.pmu
             for _ in range(count):
                 stream = self._rng.choice(self._streams)
                 op = next(stream)
                 while op[0] in (COMPUTE, MFENCE, CLFLUSH):
                     op = next(stream)  # co-runner compute costs no shared time
                 kind, vaddr = op
-                record = memsys.access(vaddr, time_cycles, is_store=(kind == STORE))
-                pmu.on_access_other_core(record, time_cycles)
+                walk(vaddr, kind == STORE, time_cycles)
                 self.injected_ops += 1
         finally:
             self._injecting = False
+
+    def _reference_walk(self, vaddr: int, is_store: bool, time_cycles: int) -> None:
+        """One co-runner access through the shared memory system, retired
+        on the other core."""
+        machine = self._machine
+        assert machine is not None
+        record = machine.memory.access(vaddr, time_cycles, is_store=is_store)
+        machine.pmu.on_access_other_core(record, time_cycles)

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.attacks import DoubleSidedClflushAttack
 from repro.core import AnvilConfig, AnvilModule
+from repro.errors import ConfigError
 from repro.presets import small_machine
+from repro.sim.ops import LOAD
 from repro.units import MB
 from repro.workloads import BackgroundMix
 
@@ -82,3 +86,34 @@ def test_background_alone_is_not_flagged():
     machine.run(stream(), max_cycles=machine.clock.cycles_from_ms(15))
     mix.detach()
     assert anvil.stats.detection_count == 0
+
+
+def test_background_mix_attaches_once():
+    """A mix attaches once and a machine carries one mix: a second attach
+    would map every co-runner buffer again and leave a hook behind that
+    keeps the fast engine stepping every op.  ``detach`` is idempotent
+    and frees the machine for another mix."""
+    machine = small_machine()
+    mix = BackgroundMix(seed=1)
+    mix.attach(machine)
+    pages = machine.memory.vm.mapped_pages
+    with pytest.raises(ConfigError):
+        mix.attach(machine)
+    with pytest.raises(ConfigError):
+        BackgroundMix(seed=2).attach(machine)
+    assert machine.memory.vm.mapped_pages == pages
+    assert machine._access_hooks == [machine.co_runner]
+
+    mix.detach()
+    mix.detach()
+    assert machine._access_hooks == [] and machine.co_runner is None
+
+    other = BackgroundMix(seed=2)
+    other.attach(machine)
+    mix.detach()  # a stale detach leaves the new mix attached
+    assert machine.co_runner is not None
+    assert machine._access_hooks == [machine.co_runner]
+    vaddr = machine.memory.vm.mmap(4096)
+    machine.run_fast([(LOAD, vaddr)] * 2_000)
+    assert machine.fast_fallbacks["hook"] == 0
+    assert other.injected_ops > 0

@@ -11,11 +11,13 @@ Streams are seeded random blends of every op kind, plus the hammer kernel
 (which reaches DRAM, activates rows, and flips bits), with and without
 ANVIL armed (timers + PEBS sampling + selective refresh), plus the
 stop-condition and TLB-remap corners, plus workload-generator streams and
-the hook-driven slow path (a bare access hook, and the ``BackgroundMix``
-co-runner injector that the heavy-load experiments attach), plus the
-CLFLUSH-free attack's ``PAIR_LOAD`` stream alone, under ANVIL, under the
-PARA and ARMOR controller defenses, and with co-runners attached or
-detached mid-run.
+the hook-driven slow path (a bare access hook), plus the ``BackgroundMix``
+co-runner injector that the heavy-load experiments attach (inline on the
+fast engine; hook-stepped beside a second hook, a memory listener or an
+armed miss counter; through PARA's observer), plus the CLFLUSH-free
+attack's ``PAIR_LOAD`` stream alone, under ANVIL, under the PARA and
+ARMOR controller defenses, and with co-runners attached or detached
+mid-run.
 """
 
 from __future__ import annotations
@@ -93,16 +95,22 @@ def result_tuple(result):
     )
 
 
-def state_snapshot(machine) -> dict:
+def state_snapshot(machine, mix=None) -> dict:
+    """Everything observable on ``machine``, plus the injection schedule
+    of its co-runner ``mix`` when given."""
     hierarchy = machine.memory.hierarchy
     controller = machine.memory.controller
     device = controller.device
     sampler = machine.pmu.sampler
-    return {
+    aux = machine.pmu.aux_sampler
+    snapshot = {
         "cycles": machine.cycles,
         "overhead": machine.overhead_cycles,
         "counters": {e.name: machine.pmu.counter(e).read() for e in Event},
         "samples": None if sampler is None else sampler.total_samples,
+        "aux_samples": (
+            None if aux is None else (aux.total_samples, aux._next_sample_at)
+        ),
         "caches": [
             (c.stats.hits, c.stats.misses, c.stats.evictions,
              c.stats.invalidations, c.resident_lines())
@@ -119,6 +127,9 @@ def state_snapshot(machine) -> dict:
         "flips": machine.memory.flip_count(),
         "pair_lcg": machine._pair_lcg,
     }
+    if mix is not None:
+        snapshot["mix"] = (mix.injected_ops, mix._pending, mix._last_cycles)
+    return snapshot
 
 
 def build_machine(anvil: bool = False, threshold_min: int | None = None):
@@ -144,9 +155,10 @@ def run_twins(build_ops, *, anvil=False, background=False, threshold_min=None,
     """Run the same stream through both paths; return (results, snapshots).
 
     ``background`` attaches the heavy-load co-runner mix to each twin and
-    adds its injected-op count to the snapshot; ``detach_after`` schedules
-    a timer that detaches it that many cycles into the run.  The fast
-    twin's ``Machine.fast_fallbacks`` are added to ``fallbacks`` when given.
+    adds its injected-op count and schedule to the snapshot (``"mix"``);
+    ``detach_after`` schedules a timer that detaches it that many cycles
+    into the run.  The fast twin's ``Machine.fast_fallbacks`` are added to
+    ``fallbacks`` when given.
     """
     outcomes = []
     for fast in (False, True):
@@ -167,10 +179,7 @@ def run_twins(build_ops, *, anvil=False, background=False, threshold_min=None,
         runner = machine.run_fast if fast else machine.run
         result = runner(ops, max_cycles=max_cycles, until=until,
                         check_every=check_every)
-        snapshot = state_snapshot(machine)
-        if mix is not None:
-            snapshot["injected_ops"] = mix.injected_ops
-        outcomes.append((result_tuple(result), snapshot))
+        outcomes.append((result_tuple(result), state_snapshot(machine, mix)))
         if fast and fallbacks is not None:
             fallbacks.update(machine.fast_fallbacks)
     return outcomes
@@ -302,6 +311,46 @@ def hooked_hammer_ops(machine):
     return hammer_ops(machine, 20_000, think=120)
 
 
+def cache_resident_ops(machine, n: int = 30_000) -> list:
+    """Loads and stores over 8 KB that stay in L1 after the first pass,
+    so DRAM traffic is nearly all the co-runners'."""
+    for p in range(2):
+        machine.memory.vm.map_fixed(p * PAGE, p * PAGE)
+    rng = random.Random(5)
+    return [
+        (STORE if rng.random() < 0.2 else LOAD, rng.randrange(2 * PAGE // 64) * 64)
+        for _ in range(n)
+    ]
+
+
+def with_setup(setup, build_ops):
+    """Op-stream factory that runs ``setup(machine)`` first."""
+
+    def build(machine):
+        setup(machine)
+        return build_ops(machine)
+
+    return build
+
+
+def arm_miss_counter_at(cycles: int):
+    """Setup: a timer ``cycles`` into the run arms an overflow interrupt
+    on the LLC-miss counter, which the co-runners also bump; each
+    interrupt charges 50 overhead cycles."""
+
+    def arm(machine):
+        counter = machine.pmu.counter(Event.LONGEST_LAT_CACHE_MISS)
+
+        def on_overflow(interrupt):
+            machine.consume(50, overhead=True)
+
+        machine.schedule_in(
+            cycles, lambda m: counter.program_overflow(100, on_overflow)
+        )
+
+    return arm
+
+
 def clflush_free_ops(defense=None):
     """Op-stream factory for the CLFLUSH-free attack's endless
     ``PAIR_LOAD`` stream, with ``defense()`` installed first when given
@@ -352,6 +401,35 @@ ENGINE_ROWS = {
         lambda m: hammer_ops(m, 40_000),
         {"background": True, "anvil": True},
     ),
+    # Every op kind between co-runner injections: only LOAD/STORE and
+    # PAIR_LOAD retires inject; the time of the ops between them is
+    # injected at the next retire.
+    "random-background": (
+        lambda m: random_ops(12, 20_000),
+        {"map_pages": 32, "background": True},
+    ),
+    # Co-runners beside anything else that needs every access record:
+    # the fast engine must step each op through execute().
+    "hammer-background-second-hook": (hooked_hammer_ops, {"background": True}),
+    "hammer-background-listener": (
+        with_setup(lambda m: m.memory.add_listener(lambda record: None),
+                   lambda m: hammer_ops(m, 20_000)),
+        {"background": True},
+    ),
+    # The foreground stays in L1, so PARA's observer sees mostly injected
+    # DRAM accesses, each an excursion of the inline co-runner walk.
+    "cache-resident-background-para": (
+        with_setup(lambda m: Para(probability=0.05).install(m),
+                   cache_resident_ops),
+        {"background": True},
+    ),
+    # Inline injection until the timer arms the miss counter, then hook
+    # stepping to the end of the run.
+    "hammer-background-armed-counter": (
+        with_setup(arm_miss_counter_at(300_000),
+                   lambda m: hammer_ops(m, 20_000)),
+        {"background": True},
+    ),
     # ~0.8 ms of hammering: the victim flips at threshold 2,000.
     "clflush-free": (
         clflush_free_ops(), {"threshold_min": 2_000, "max_cycles": 2_000_000},
@@ -372,8 +450,8 @@ ENGINE_ROWS = {
     "clflush-free-background": (
         clflush_free_ops(), {"background": True, "max_cycles": 2_000_000},
     ),
-    # The detach timer moves the fast engine from hook stepping back to
-    # batching halfway through.
+    # The detach timer ends inline injection halfway through; batching
+    # goes on without it.
     "clflush-free-background-detach": (
         clflush_free_ops(),
         {"background": True, "detach_after": 1_000_000, "max_cycles": 2_000_000},
@@ -384,15 +462,31 @@ ENGINE_ROWS = {
 #: covers the engine path it is named for.
 ROW_PATHS = {
     "hammer-access-hook": ("hook",),
-    "hammer-background": ("hook",),
-    "hammer-background-anvil": ("hook",),
+    "hammer-background-anvil": ("pebs",),
+    "hammer-background-second-hook": ("hook",),
+    "hammer-background-listener": ("hook",),
+    # Only a batch counts "timer" fallbacks: the run batched until the
+    # timer armed the counter, then stepped.
+    "hammer-background-armed-counter": ("timer", "hook"),
     "clflush-free-anvil": ("pebs",),
     "clflush-free-para": ("observer",),
     "clflush-free-armor": ("observer",),
-    "clflush-free-background": ("hook",),
-    # Only a batch counts "timer" fallbacks: batching resumed after detach.
-    "clflush-free-background-detach": ("hook", "timer"),
+    "clflush-free-background-detach": ("timer",),
 }
+
+#: Co-runner rows the fast engine must run batched, injecting inline: no
+#: op is hook-stepped and the mix injected ops.
+INLINE_ROWS = {
+    "hammer-background",
+    "hammer-background-anvil",
+    "random-background",
+    "cache-resident-background-para",
+    "clflush-free-background",
+    "clflush-free-background-detach",
+}
+
+#: Rows whose co-runner ops the aux-core sampler must have sampled.
+AUX_SAMPLE_ROWS = {"hammer-background-anvil"}
 
 #: Rows that must reach the disturbance model.
 FLIP_ROWS = {"hammer-think", "hammer-access-hook", "clflush-free"}
@@ -406,6 +500,14 @@ def test_engine_rows_equivalent(row):
     assert_equivalent(outcomes)
     for reason in ROW_PATHS.get(row, ()):
         assert fallbacks[reason] > 0, (reason, fallbacks)
+    state = outcomes[0][1]
+    if row in INLINE_ROWS:
+        assert fallbacks["hook"] == 0, fallbacks
+        assert state["mix"][0] > 0  # injected_ops
+    if row in AUX_SAMPLE_ROWS:
+        assert state["aux_samples"][0] > 0
+    if row == "cache-resident-background-para":
+        assert state["controller"][3] > 0  # observer_refreshes
     if row in FLIP_ROWS:
         assert outcomes[0][0][8] > 0  # new_flips
 
@@ -413,7 +515,7 @@ def test_engine_rows_equivalent(row):
 def test_fallback_telemetry():
     """``fast_fallbacks`` says why the fast engine left its batches: an
     idle CLFLUSH-free run never falls back on its op kind, and with
-    co-runners attached every op is hook-stepped."""
+    co-runners attached no op is hook-stepped (they are injected inline)."""
     machine = small_machine()
     attack = ClflushFreeAttack(buffer_bytes=16 * MB)
     attack.prepare(machine)
@@ -423,8 +525,11 @@ def test_fallback_telemetry():
     assert machine.fast_fallbacks["hook"] == 0
 
     machine = small_machine()
-    BackgroundMix().attach(machine)
+    mix = BackgroundMix()
+    mix.attach(machine)
     attack = ClflushFreeAttack(buffer_bytes=16 * MB)
     attack.prepare(machine)
     result = machine.run_fast(itertools.islice(attack.ops(), 3_000))
-    assert machine.fast_fallbacks["hook"] == result.ops_executed == 3_000
+    assert result.ops_executed == 3_000
+    assert machine.fast_fallbacks["hook"] == 0
+    assert mix.injected_ops > 0
