@@ -35,15 +35,28 @@ CACHE_DIR = RESULTS_DIR / ".cache"
 CACHE_ENV = "REPRO_SWEEP_CACHE"
 
 
+def _open_mode() -> int:
+    """The mode ``open()`` gives a new file: 0o666 minus the umask."""
+    umask = os.umask(0)
+    os.umask(umask)
+    return 0o666 & ~umask
+
+
 def _write_atomic(path: Path, text: str) -> None:
     """Write ``text`` to ``path`` via tmp file + ``os.replace`` so parallel
-    bench runs can never interleave or leave a torn result file."""
+    bench runs can never interleave or leave a torn result file.
+
+    ``mkstemp`` creates the tmp file 0600 and ``os.replace`` keeps that
+    mode, so the file is widened to what ``open()`` would have made: a
+    published result stays readable by everyone who could read the repo.
+    """
     fd, tmp_name = tempfile.mkstemp(
         dir=path.parent, prefix=f".{path.name}-", suffix=".tmp"
     )
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        os.chmod(tmp_name, _open_mode())
         os.replace(tmp_name, path)
     except BaseException:
         try:

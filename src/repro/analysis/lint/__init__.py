@@ -15,12 +15,11 @@ bit-identical-results guarantee in this repo rests on:
          returning, or recording a structured result
 =======  ==============================================================
 
-Suppressions are explicit (``# repro: noqa[DET]``), grandfathered
-findings live in a committed baseline (``.repro-lint-baseline.json``),
-and the CLI exits nonzero on any blocking finding so CI gates on it.
+Every finding blocks, and the CLI exits nonzero on any finding so CI
+gates on it.  There are no suppression comments and no baseline: the only
+exemptions are the ones :class:`LintConfig` names, reviewed with the code.
 """
 
-from .baseline import Baseline, load_baseline, save_baseline
 from .engine import LintResult, collect_files, run_lint
 from .findings import Finding
 from .reporting import render_json, render_text
@@ -28,15 +27,12 @@ from .rules import RULES
 from .sources import LintConfig
 
 __all__ = [
-    "Baseline",
     "Finding",
     "LintConfig",
     "LintResult",
     "RULES",
     "collect_files",
-    "load_baseline",
     "render_json",
     "render_text",
     "run_lint",
-    "save_baseline",
 ]

@@ -1,4 +1,4 @@
-"""The lint engine: collect, parse, scope, run rules, filter, report.
+"""The lint engine: collect, parse, scope, run rules, report.
 
 :func:`run_lint` is the single entry point (the CLI and the test suite
 both call it).  Pipeline:
@@ -6,10 +6,10 @@ both call it).  Pipeline:
 1. collect ``.py`` files from the given paths (skipping caches and
    hidden directories), parse each once;
 2. build the intra-package import graph and compute the DET closure;
-3. run every requested rule over the shared :class:`LintContext`;
-4. assign baseline fingerprints, drop ``# repro: noqa[RULE]``-suppressed
-   findings, then split the rest against the baseline.
+3. run every rule over the shared :class:`LintContext` and sort the
+   findings into file order.
 
+Every finding blocks: there is no suppression comment and no baseline.
 A file that fails to parse is itself a blocking ``PARSE`` finding — a
 linter that silently skips unparseable determinism-critical code would
 be the exact failure mode this suite exists to prevent.
@@ -20,9 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .baseline import Baseline
-from .findings import Finding, assign_fingerprints
-from .noqa import is_suppressed
+from .findings import Finding
 from .rules import RULES, LintContext
 from .scope import det_closure, import_edges
 from .sources import LintConfig, SourceFile, parse_source
@@ -35,14 +33,8 @@ class LintResult:
     """Outcome of one lint run."""
 
     files: list[SourceFile] = field(default_factory=list)
-    #: Findings that block (not suppressed, not baselined).
+    #: Every finding, sorted by (path, line, col, code).
     blocking: list[Finding] = field(default_factory=list)
-    #: Findings excused by the committed baseline.
-    baselined: list[Finding] = field(default_factory=list)
-    #: Count of findings silenced by ``# repro: noqa`` comments.
-    suppressed: int = 0
-    #: Baseline entries that no longer match any finding.
-    stale_baseline: list[dict] = field(default_factory=list)
     det_scope: set[str] = field(default_factory=set)
 
     @property
@@ -53,9 +45,6 @@ class LintResult:
         return {
             "files": len(self.files),
             "blocking": len(self.blocking),
-            "baselined": len(self.baselined),
-            "suppressed": self.suppressed,
-            "stale_baseline": len(self.stale_baseline),
             "det_scope_modules": len(self.det_scope),
             "ok": self.ok,
         }
@@ -102,51 +91,24 @@ def build_det_scope(files: list[SourceFile], config: LintConfig) -> set[str]:
 def run_lint(
     paths: list[str | Path],
     config: LintConfig | None = None,
-    baseline: Baseline | None = None,
     base: Path | None = None,
 ) -> LintResult:
-    """Lint ``paths`` and return the filtered result (see module docstring)."""
+    """Lint ``paths`` and return the result (see module docstring)."""
     config = config or LintConfig()
     files = collect_files(paths, base=base)
     ctx = LintContext(
         files=files, config=config, det_scope=build_det_scope(files, config),
     )
 
-    raw: list[Finding] = []
+    findings: list[Finding] = []
     for src in files:
         if src.parse_error is not None:
-            raw.append(Finding(
+            findings.append(Finding(
                 rule="PARSE", code="PARSE001", path=src.rel, line=1, col=0,
                 message=src.parse_error,
                 hint="fix the file; unparseable code cannot be verified",
             ))
-    for family in config.rules:
-        rule_cls = RULES.get(family)
-        if rule_cls is None:
-            raise ValueError(
-                f"unknown lint rule {family!r} (known: {', '.join(sorted(RULES))})"
-            )
-        raw.extend(rule_cls().run(ctx))
-
-    lines_by_path = {src.rel: src.lines for src in files}
-    noqa_by_path = {src.rel: src.noqa for src in files}
-    fingerprinted = assign_fingerprints(raw, lines_by_path)
-
-    kept: list[Finding] = []
-    suppressed = 0
-    for finding in fingerprinted:
-        noqa = noqa_by_path.get(finding.path, {})
-        if is_suppressed(finding.rule, finding.code, finding.line, noqa):
-            suppressed += 1
-        else:
-            kept.append(finding)
-
-    result = LintResult(files=files, suppressed=suppressed,
-                        det_scope=ctx.det_scope)
-    if baseline is None:
-        result.blocking = kept
-    else:
-        result.blocking, result.baselined, result.stale_baseline = (
-            baseline.split(kept)
-        )
-    return result
+    for rule_cls in RULES.values():
+        findings.extend(rule_cls().run(ctx))
+    findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
+    return LintResult(files=files, blocking=findings, det_scope=ctx.det_scope)

@@ -1,18 +1,8 @@
-"""Finding records and stable fingerprints.
-
-A :class:`Finding` is one rule violation anchored at ``path:line:col``.
-Its *fingerprint* is what the baseline file stores: a digest of the rule,
-the file, the **text** of the offending source line, and the finding's
-occurrence index among identical (rule, path, line-text) triples in that
-file.  Line text instead of line number keeps baselines stable while
-unrelated edits shift code up or down; the occurrence index keeps two
-identical violations on different lines distinguishable.
-"""
+"""Finding records: one rule violation anchored at ``path:line:col``."""
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -26,8 +16,6 @@ class Finding:
     col: int  #: 0-based column
     message: str
     hint: str = ""
-    #: Filled in by the engine once per file (see module docstring).
-    fingerprint: str = field(default="", compare=False)
 
     def located(self) -> str:
         return f"{self.path}:{self.line}:{self.col + 1}"
@@ -36,31 +24,5 @@ class Finding:
         return {
             "rule": self.rule, "code": self.code, "path": self.path,
             "line": self.line, "col": self.col, "message": self.message,
-            "hint": self.hint, "fingerprint": self.fingerprint,
+            "hint": self.hint,
         }
-
-
-def compute_fingerprint(rule: str, path: str, line_text: str, occurrence: int) -> str:
-    """The baseline identity of one finding (see module docstring)."""
-    material = "\x1f".join((rule, path, line_text.strip(), str(occurrence)))
-    return hashlib.sha256(material.encode("utf-8")).hexdigest()[:16]
-
-
-def assign_fingerprints(findings: list[Finding], lines_by_path: dict[str, list[str]]) -> list[Finding]:
-    """Return ``findings`` with fingerprints filled in, sorted by location."""
-    ordered = sorted(findings, key=lambda f: (f.path, f.line, f.col, f.code))
-    seen: dict[tuple[str, str, str], int] = {}
-    out: list[Finding] = []
-    for finding in ordered:
-        lines = lines_by_path.get(finding.path, [])
-        text = lines[finding.line - 1] if 0 < finding.line <= len(lines) else ""
-        key = (finding.rule, finding.path, text.strip())
-        occurrence = seen.get(key, 0)
-        seen[key] = occurrence + 1
-        out.append(Finding(
-            rule=finding.rule, code=finding.code, path=finding.path,
-            line=finding.line, col=finding.col, message=finding.message,
-            hint=finding.hint,
-            fingerprint=compute_fingerprint(finding.rule, finding.path, text, occurrence),
-        ))
-    return out

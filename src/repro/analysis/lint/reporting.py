@@ -20,21 +20,10 @@ def render_text(result: LintResult) -> str:
     out: list[str] = []
     for finding in result.blocking:
         out.append(_format_finding(finding))
-    if result.baselined:
-        out.append(f"{len(result.baselined)} finding(s) excused by the baseline:")
-        for finding in result.baselined:
-            out.append(f"  {finding.located()}  {finding.code}  (baselined)")
-    for entry in result.stale_baseline:
-        out.append(
-            "stale baseline entry (violation fixed — remove it): "
-            f"{entry.get('path')}:{entry.get('line')} {entry.get('code')} "
-            f"[{entry.get('fingerprint')}]"
-        )
     summary = result.summary()
     out.append(
         f"checked {summary['files']} file(s): "
-        f"{summary['blocking']} blocking, {summary['baselined']} baselined, "
-        f"{summary['suppressed']} noqa-suppressed, "
+        f"{summary['blocking']} finding(s), "
         f"{summary['det_scope_modules']} module(s) in determinism scope"
     )
     out.append("lint: OK" if result.ok else "lint: FAILED")
@@ -47,7 +36,5 @@ def render_json(result: LintResult) -> str:
         "version": 1,
         "summary": result.summary(),
         "findings": [f.to_dict() for f in result.blocking],
-        "baselined": [f.to_dict() for f in result.baselined],
-        "stale_baseline": result.stale_baseline,
     }
     return json.dumps(payload, indent=2, sort_keys=True)

@@ -1,7 +1,7 @@
 """The rule contract.
 
-A rule is a class with a ``FAMILY`` (the token used in ``--rules``,
-noqa comments, and baselines) and a ``run(ctx)`` returning findings.
+A rule is a class with a ``FAMILY`` (the prefix of its finding codes,
+and its key in ``RULES``) and a ``run(ctx)`` returning findings.
 Rules see the whole project (:class:`LintContext`), so cross-file checks
 (EQV) and scope-aware checks (DET) are first-class rather than bolted on.
 """

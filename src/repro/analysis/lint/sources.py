@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-from .noqa import suppressions
 from .scope import module_name
 
 
@@ -15,13 +14,11 @@ class SourceFile:
     """One parsed Python file under analysis."""
 
     path: Path  #: absolute path
-    rel: str  #: display/baseline path (posix, repo-relative when possible)
+    rel: str  #: display path (posix, repo-relative when possible)
     text: str
     tree: ast.AST | None  #: ``None`` when the file fails to parse
     parse_error: str | None = None
     module: str | None = None  #: dotted module name (``None`` outside packages)
-    lines: list[str] = field(default_factory=list)
-    noqa: dict[int, frozenset[str]] = field(default_factory=dict)
 
     @property
     def is_package_init(self) -> bool:
@@ -51,10 +48,9 @@ def parse_source(path: Path, base: Path | None = None) -> SourceFile:
         error = None
     except SyntaxError as exc:
         tree, error = None, f"syntax error: {exc.msg} (line {exc.lineno})"
-    lines = text.splitlines()
     return SourceFile(
         path=path, rel=rel, text=text, tree=tree, parse_error=error,
-        module=module_name(path), lines=lines, noqa=suppressions(lines),
+        module=module_name(path),
     )
 
 
@@ -63,11 +59,11 @@ class LintConfig:
     """Everything the rule set needs to know about this repo's invariants.
 
     The defaults encode the real contracts (see DESIGN.md "Determinism
-    invariants"); tests override fields to lint synthetic trees.
+    invariants"); tests override fields to lint synthetic trees.  The DET
+    scope, core and allowed-call fields are the lint's only exemptions:
+    there are no suppression comments or baselines, so every exemption is
+    reviewed here, with the code.
     """
-
-    #: Rule families to run.
-    rules: tuple[str, ...] = ("DET", "EQV", "ERR")
 
     # -- DET: determinism scope ------------------------------------------------
     #: Import-graph roots: the modules that derive seeds, fingerprint code,
@@ -90,8 +86,8 @@ class LintConfig:
         "repro.presets",
         "repro.sidechannel",
     )
-    #: Treat every linted file as DET-scoped and DET-core (fixture trees
-    #: and ad-hoc paths, where module names do not resolve).
+    #: Treat every linted file as DET-scoped and DET-core (fixture trees,
+    #: where module names do not resolve).
     det_all: bool = False
     #: path-suffix -> dotted call names exempt there.  The timing shim
     #: (``run_cell``) measures per-cell wall-clock *telemetry*

@@ -11,8 +11,8 @@ Commands map onto the library's headline capabilities:
   or empty (``clear``) the sweep result cache; corrupt entries are
   quarantined so they never poison a sweep;
 - ``lint`` — the determinism & engine-equivalence static-analysis suite
-  (exits nonzero on any non-baselined finding, mirroring ``cache
-  verify``; see :mod:`repro.analysis.lint`);
+  (exits nonzero on any finding, mirroring ``cache verify``; see
+  :mod:`repro.analysis.lint`);
 - ``info`` — the simulated machine's configuration.
 
 Every sweep-running command (``defense-grid``, ``spec-overhead``) takes

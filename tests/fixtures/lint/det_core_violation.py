@@ -1,4 +1,4 @@
-"""Fixture: serialization-core order hazards (linted with --det-all)."""
+"""Fixture: serialization-core order hazards (linted with det_all=True)."""
 
 import json
 

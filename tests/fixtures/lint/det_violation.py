@@ -1,4 +1,4 @@
-"""Fixture: every banned-call DET violation (linted with --det-all)."""
+"""Fixture: every banned-call DET violation (linted with det_all=True)."""
 
 import os
 import random

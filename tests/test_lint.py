@@ -1,8 +1,8 @@
 """The determinism/equivalence lint suite (``repro.analysis.lint``).
 
 Fixture files under ``tests/fixtures/lint/`` carry one violation family
-each; tests assert golden finding codes, noqa suppression, baseline
-round-trips, CLI exit codes, and — most importantly — that the linter
+each; tests assert golden finding codes, that no comment suppresses a
+finding, CLI exit codes, and — most importantly — that the linter
 passes clean on the repo's own sources (the self-gate CI relies on) and
 *fails* when a phantom observable is added to the real ``Machine.run``
 without being mirrored in the fast-path engine.
@@ -14,16 +14,7 @@ import json
 import shutil
 from pathlib import Path
 
-import pytest
-
-from repro.analysis.lint import (
-    Baseline,
-    LintConfig,
-    load_baseline,
-    run_lint,
-    save_baseline,
-)
-from repro.analysis.lint.baseline import BaselineError
+from repro.analysis.lint import LintConfig, run_lint
 from repro.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -39,7 +30,7 @@ def codes(findings):
 
 
 def test_det_banned_calls_golden():
-    config = LintConfig(rules=("DET",), det_all=True)
+    config = LintConfig(det_all=True)
     result = run_lint([FIXTURES / "det_violation.py"], config=config)
     assert not result.ok
     assert codes(result.blocking) == [
@@ -52,24 +43,16 @@ def test_det_banned_calls_golden():
         assert finding.path.endswith("det_violation.py")
 
 
-def test_det_noqa_suppresses_every_finding():
-    config = LintConfig(rules=("DET",), det_all=True)
-    result = run_lint([FIXTURES / "det_noqa.py"], config=config)
-    assert result.ok
-    assert result.blocking == []
-    assert result.suppressed == 5
-
-
-def test_det_noqa_wrong_family_does_not_suppress(tmp_path):
-    target = tmp_path / "wrong_family.py"
-    target.write_text("import time\nSTAMP = time.time()  # repro: noqa[ERR]\n")
-    config = LintConfig(rules=("DET",), det_all=True)
-    result = run_lint([target], config=config)
+def test_noqa_comment_does_not_suppress(tmp_path):
+    # Exemptions live only in LintConfig: a comment waives nothing.
+    target = tmp_path / "noqa.py"
+    target.write_text("import time\nSTAMP = time.time()  # repro: noqa[DET]\n")
+    result = run_lint([target], config=LintConfig(det_all=True))
     assert codes(result.blocking) == ["DET003"]
 
 
 def test_det_core_order_hazards_golden():
-    config = LintConfig(rules=("DET",), det_all=True)
+    config = LintConfig(det_all=True)
     result = run_lint([FIXTURES / "det_core_violation.py"], config=config)
     assert codes(result.blocking) == ["DET006", "DET007", "DET008"]
     # The sorted()-laundered forms in the same file stay clean.
@@ -79,8 +62,7 @@ def test_det_core_order_hazards_golden():
 def test_det_scope_excludes_unreachable_modules(tmp_path):
     # Without det_all, a file outside any package (no dotted module name,
     # hence unreachable from the det_roots import graph) is not scoped.
-    result = run_lint([FIXTURES / "det_violation.py"],
-                      config=LintConfig(rules=("DET",)))
+    result = run_lint([FIXTURES / "det_violation.py"], config=LintConfig())
     assert result.ok
 
 
@@ -88,9 +70,7 @@ def test_det_scope_excludes_unreachable_modules(tmp_path):
 
 
 def test_err_fixture_flags_only_swallowed():
-    config = LintConfig(rules=("ERR",))
-    result = run_lint([FIXTURES / "err_violation.py", FIXTURES / "err_ok.py"],
-                      config=config)
+    result = run_lint([FIXTURES / "err_violation.py", FIXTURES / "err_ok.py"])
     assert codes(result.blocking) == ["ERR001"]
     assert len(result.blocking) == 2  # pass + continue swallow handlers
     assert all(f.path.endswith("err_violation.py") for f in result.blocking)
@@ -100,7 +80,6 @@ def test_err_fixture_flags_only_swallowed():
 
 
 EQV_FIXTURE_CONFIG = LintConfig(
-    rules=("EQV",),
     eqv_source=("sim/machine.py", "Machine", "run"),
     eqv_mirrors=("sim/fastpath.py",),
 )
@@ -146,107 +125,19 @@ def test_eqv_catches_phantom_counter_in_real_machine(tmp_path):
     assert "phantom_counter" in finding.message
 
 
-# ---------------------------------------------------------------- baseline
-
-
-def test_baseline_round_trip(tmp_path):
-    config = LintConfig(rules=("ERR",))
-    first = run_lint([FIXTURES / "err_violation.py"], config=config)
-    assert len(first.blocking) == 2
-
-    baseline_path = tmp_path / "baseline.json"
-    save_baseline(baseline_path, first.blocking)
-    baseline = load_baseline(baseline_path)
-    assert len(baseline.entries) == 2
-
-    second = run_lint([FIXTURES / "err_violation.py"], config=config,
-                      baseline=baseline)
-    assert second.ok
-    assert len(second.baselined) == 2
-    assert second.stale_baseline == []
-
-
-def test_baseline_reports_stale_entries(tmp_path):
-    config = LintConfig(rules=("ERR",))
-    target = tmp_path / "fixed.py"
-    target.write_text(
-        "def f(fn):\n"
-        "    try:\n"
-        "        return fn()\n"
-        "    except Exception:\n"
-        "        pass\n"
-    )
-    first = run_lint([target], config=config)
-    baseline_path = tmp_path / "baseline.json"
-    save_baseline(baseline_path, first.blocking)
-
-    # Fix the violation: the baseline entry must surface as stale debt.
-    target.write_text(
-        "def f(fn):\n"
-        "    try:\n"
-        "        return fn()\n"
-        "    except OSError:\n"
-        "        pass\n"
-    )
-    second = run_lint([target], config=config,
-                      baseline=load_baseline(baseline_path))
-    assert second.ok
-    assert len(second.stale_baseline) == 1
-
-
-def test_baseline_fingerprint_survives_line_drift(tmp_path):
-    # Fingerprints hash the line *text*, not its number: inserting lines
-    # above a baselined finding must not resurrect it.
-    config = LintConfig(rules=("ERR",))
-    target = tmp_path / "drift.py"
-    body = (
-        "def f(fn):\n"
-        "    try:\n"
-        "        return fn()\n"
-        "    except Exception:\n"
-        "        pass\n"
-    )
-    target.write_text(body)
-    baseline_path = tmp_path / "baseline.json"
-    save_baseline(baseline_path, run_lint([target], config=config).blocking)
-
-    target.write_text("# a new header comment\nX = 1\n\n\n" + body)
-    drifted = run_lint([target], config=config,
-                       baseline=load_baseline(baseline_path))
-    assert drifted.ok
-    assert len(drifted.baselined) == 1
-
-
-def test_malformed_baseline_raises(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{\"version\": 99}")
-    with pytest.raises(BaselineError):
-        load_baseline(bad)
-
-
-def test_committed_baseline_is_valid_and_empty():
-    baseline = load_baseline(REPO_ROOT / ".repro-lint-baseline.json")
-    assert baseline.entries == []
-
-
 # ---------------------------------------------------------------- engine
 
 
 def test_parse_error_is_blocking(tmp_path):
     bad = tmp_path / "broken.py"
     bad.write_text("def f(:\n")
-    result = run_lint([bad], config=LintConfig(rules=("ERR",)))
+    result = run_lint([bad])
     assert codes(result.blocking) == ["PARSE001"]
-
-
-def test_unknown_rule_family_raises():
-    with pytest.raises(ValueError, match="unknown lint rule"):
-        run_lint([FIXTURES / "err_ok.py"], config=LintConfig(rules=("NOPE",)))
 
 
 def test_repo_sources_are_clean():
     # The self-gate CI enforces: the repo's own sources lint clean with
-    # the default configuration and no baseline debt.
+    # the default configuration.
     result = run_lint([REPO_ROOT / "src" / "repro", REPO_ROOT / "benchmarks"],
                       base=REPO_ROOT)
     assert result.ok, "\n".join(
@@ -273,43 +164,21 @@ def test_repo_sources_are_clean():
         assert (src / suffix).is_file(), suffix
 
 
-def test_empty_baseline_split_blocks_everything():
-    config = LintConfig(rules=("ERR",))
-    result = run_lint([FIXTURES / "err_violation.py"], config=config,
-                      baseline=Baseline())
-    assert len(result.blocking) == 2
-    assert result.baselined == []
-
-
 # ---------------------------------------------------------------- CLI
 
 
 def test_cli_exit_codes_per_fixture():
-    base = ["lint", "--no-baseline", "--det-all"]
-    assert main(base + ["--rules", "DET",
-                        str(FIXTURES / "det_violation.py")]) == 1
-    assert main(base + ["--rules", "DET",
-                        str(FIXTURES / "det_noqa.py")]) == 0
-    assert main(base + ["--rules", "ERR",
-                        str(FIXTURES / "err_violation.py")]) == 1
-    assert main(base + ["--rules", "ERR",
-                        str(FIXTURES / "err_ok.py")]) == 0
-
-
-def test_cli_unknown_rule_exits_2():
-    assert main(["lint", "--no-baseline", "--rules", "BOGUS",
-                 str(FIXTURES / "err_ok.py")]) == 2
+    assert main(["lint", str(FIXTURES / "err_violation.py")]) == 1
+    assert main(["lint", str(FIXTURES / "err_ok.py")]) == 0
 
 
 def test_cli_json_report(capsys):
-    code = main(["lint", "--no-baseline", "--det-all", "--format", "json",
-                 "--rules", "DET", str(FIXTURES / "det_violation.py")])
+    code = main(["lint", "--format", "json",
+                 str(FIXTURES / "err_violation.py")])
     assert code == 1
     report = json.loads(capsys.readouterr().out)
-    assert report["summary"]["blocking"] == 5
-    assert {f["code"] for f in report["findings"]} == {
-        "DET001", "DET002", "DET003", "DET004", "DET005",
-    }
+    assert report["summary"]["blocking"] == 2
+    assert [f["code"] for f in report["findings"]] == ["ERR001", "ERR001"]
 
 
 def test_cli_repo_self_gate(monkeypatch):
@@ -317,15 +186,3 @@ def test_cli_repo_self_gate(monkeypatch):
     monkeypatch.chdir(REPO_ROOT)
     assert main(["lint"]) == 0
 
-
-def test_cli_write_baseline_round_trip(tmp_path, capsys):
-    baseline_path = tmp_path / "baseline.json"
-    fixture = str(FIXTURES / "err_violation.py")
-    assert main(["lint", "--rules", "ERR", "--baseline", str(baseline_path),
-                 "--write-baseline", fixture]) == 0
-    capsys.readouterr()
-    # With the written baseline the same findings no longer block.
-    assert main(["lint", "--rules", "ERR", "--baseline", str(baseline_path),
-                 fixture]) == 0
-    out = capsys.readouterr().out
-    assert "baselined" in out
