@@ -15,7 +15,6 @@ class SourceFile:
 
     path: Path  #: absolute path
     rel: str  #: display path (posix, repo-relative when possible)
-    text: str
     tree: ast.AST | None  #: ``None`` when the file fails to parse
     parse_error: str | None = None
     module: str | None = None  #: dotted module name (``None`` outside packages)
@@ -41,15 +40,14 @@ def parse_source(path: Path, base: Path | None = None) -> SourceFile:
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        return SourceFile(path=path, rel=rel, text="", tree=None,
-                          parse_error=f"unreadable: {exc}")
+        return SourceFile(path=path, rel=rel, tree=None, parse_error=f"unreadable: {exc}")
     try:
         tree = ast.parse(text, filename=str(path))
         error = None
     except SyntaxError as exc:
         tree, error = None, f"syntax error: {exc.msg} (line {exc.lineno})"
     return SourceFile(
-        path=path, rel=rel, text=text, tree=tree, parse_error=error,
+        path=path, rel=rel, tree=tree, parse_error=error,
         module=module_name(path),
     )
 

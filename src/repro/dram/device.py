@@ -9,12 +9,16 @@ The device models exactly what rowhammer manipulates:
 - **activations** deposit disturbance units on neighbouring rows and
   restore the activated row's own charge;
 - **data** is stored sparsely (64-bit words); reads see any bit flips that
-  occurred since the word was last written.
+  occurred since the word was last written.  Read and write it by the
+  range (:meth:`DramDevice.read_words` / :meth:`DramDevice.write_words`),
+  which decodes once per DRAM row rather than once per word.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
+from typing import Sequence
 
 from ..errors import AddressError
 from ..units import Clock
@@ -25,6 +29,12 @@ from .refresh import RefreshEngine
 
 #: Attacker-friendly default contents: all ones, so flips are 1 -> 0.
 DEFAULT_FILL_WORD = 0xFFFFFFFFFFFFFFFF
+
+
+def check_words(values: Sequence[int]) -> None:
+    """Raise :class:`AddressError` unless every value is a 64-bit word."""
+    if values and not (0 <= min(values) and max(values) < 1 << 64):
+        raise AddressError("DRAM words take 64-bit values")
 
 
 @dataclass
@@ -255,39 +265,87 @@ class DramDevice:
         return self._open_rows[rank * self.config.banks_per_rank + bank]
 
     # -- data ---------------------------------------------------------------------
+    # Use the range API, read_words/write_words: it decodes once per DRAM
+    # row a span touches.  read_word/write_word are one-word spans of it.
 
-    @staticmethod
-    def _word_addr(paddr: int) -> int:
-        return paddr & ~0x7
+    def _span(self, paddr: int, count: int) -> tuple[int, int]:
+        """Word-aligned ``[start, end)`` of ``count`` words from ``paddr``,
+        raising :class:`AddressError` unless all of it is in the module."""
+        start = paddr & ~0x7
+        end = start + 8 * count
+        if count and not (0 <= start and end <= self.mapping.capacity):
+            raise AddressError(
+                f"words {start:#x}..{end:#x} outside module "
+                f"({self.mapping.capacity:#x})"
+            )
+        return start, end
+
+    def _rows(self, start: int, end: int):
+        """``(row_id, row_base, lo, hi)`` per DRAM row of ``[start, end)``:
+        the row's id, its column-0 address and the span's slice of it."""
+        row_bytes = self.config.row_bytes
+        decode = self.mapping.decode
+        lo = start
+        while lo < end:
+            coord = decode(lo)
+            hi = min(end, lo - coord.col + row_bytes)
+            yield self.row_id(coord), lo - coord.col, lo, hi
+            lo = hi
+
+    def write_words(self, paddr: int, values: Sequence[int]) -> None:
+        """Store consecutive 64-bit words from ``paddr`` on.
+
+        A stored word remembers how many flips its row had, so flips that
+        came before the write are healed and only later ones read back.
+        Bad values or addresses raise before any word is stored.
+        """
+        check_words(values)
+        start, end = self._span(paddr, len(values))
+        words = self._words
+        row_flips = self._row_flips
+        for row_id, _, lo, hi in self._rows(start, end):
+            seen = len(row_flips.get(row_id, ()))
+            row_values = values[(lo - start) >> 3 : (hi - start) >> 3]
+            words.update(zip(range(lo, hi, 8), zip(row_values, repeat(seen))))
+
+    def read_words(self, paddr: int, count: int) -> list[int]:
+        """Read ``count`` consecutive 64-bit words from ``paddr`` on.
+
+        An unwritten word reads as :data:`DEFAULT_FILL_WORD`; each flip its
+        row took after the word's last write is XORed in.
+        """
+        start, end = self._span(paddr, count)
+        get = self._words.get
+        unwritten = (DEFAULT_FILL_WORD, 0)
+        out: list[int] = []
+        for row_id, row_base, lo, hi in self._rows(start, end):
+            flips = self._row_flips.get(row_id)
+            if not flips:
+                out += [get(word, unwritten)[0] for word in range(lo, hi, 8)]
+                continue
+            # Bit ``b`` of the row is bit ``b % 64`` of the word at column
+            # ``(b // 64) * 8``; ``index`` is the flip's place in the row's
+            # history, which a word's ``seen`` count is compared against.
+            by_word: dict[int, list[tuple[int, int]]] = {}
+            for index, flip in enumerate(flips):
+                word = row_base + (flip.bit_offset >> 6 << 3)
+                if lo <= word < hi:
+                    by_word.setdefault(word, []).append((index, flip.bit_offset & 63))
+            for word in range(lo, hi, 8):
+                value, seen = get(word, unwritten)
+                for index, bit in by_word.get(word, ()):
+                    if index >= seen:
+                        value ^= 1 << bit
+                out.append(value)
+        return out
 
     def write_word(self, paddr: int, value: int) -> None:
         """Store a 64-bit word; rewriting a word heals prior flips in it."""
-        if not 0 <= value < 1 << 64:
-            raise AddressError("write_word takes a 64-bit value")
-        word = self._word_addr(paddr)
-        row_id = self.row_id(self.mapping.decode(word))
-        seen = len(self._row_flips.get(row_id, ()))
-        self._words[word] = (value, seen)
+        self.write_words(paddr, (value,))
 
     def read_word(self, paddr: int) -> int:
         """Read a 64-bit word, applying flips newer than the last write."""
-        word = self._word_addr(paddr)
-        coord = self.mapping.decode(word)
-        row_id = self.row_id(coord)
-        stored = self._words.get(word)
-        if stored is None:
-            value, seen = DEFAULT_FILL_WORD, 0
-        else:
-            value, seen = stored
-        flips = self._row_flips.get(row_id)
-        if not flips:
-            return value
-        word_bit_base = coord.col * 8
-        for flip in flips[seen:]:
-            offset = flip.bit_offset - word_bit_base
-            if 0 <= offset < 64:
-                value ^= 1 << offset
-        return value
+        return self.read_words(paddr, 1)[0]
 
     # -- flip queries ----------------------------------------------------------------
 

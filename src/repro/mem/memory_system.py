@@ -21,10 +21,11 @@ experiments: whether CLFLUSH is permitted (sandbox mitigation) and whether
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 from ..cache import CacheHierarchy, HierarchyConfig
 from ..dram import DramConfig, DramCoord, MemoryController
+from ..dram.device import check_words
 from ..errors import ClflushRestrictedError
 from ..units import Clock
 from .pagemap import Pagemap
@@ -156,11 +157,45 @@ class MemorySystem:
 
     # -- untimed architectural data access ------------------------------------------
 
+    def _page_runs(self, vaddr: int, count: int) -> list[tuple[int, int]]:
+        """``(paddr, words)`` per page of ``count`` words from ``vaddr``,
+        translating every page (and so raising on an unmapped one) first."""
+        page_bytes = self.vm.config.page_bytes
+        runs = []
+        addr = vaddr & ~0x7
+        end = addr + 8 * count
+        while addr < end:
+            stop = min(end, (addr | (page_bytes - 1)) + 1)
+            runs.append((self._translate(addr), (stop - addr) >> 3))
+            addr = stop
+        return runs
+
+    def write_words(self, vaddr: int, values: Sequence[int]) -> None:
+        """Store consecutive 64-bit words from ``vaddr`` on, one DRAM write
+        per page; every page is translated and every value checked before
+        any word is stored."""
+        runs = self._page_runs(vaddr, len(values))
+        check_words(values)
+        write = self.controller.device.write_words
+        first = 0
+        for paddr, count in runs:
+            write(paddr, values[first : first + count])
+            first += count
+
+    def read_words(self, vaddr: int, count: int) -> list[int]:
+        """Read ``count`` consecutive 64-bit words from ``vaddr`` on, one
+        DRAM read per page."""
+        read = self.controller.device.read_words
+        out: list[int] = []
+        for paddr, words in self._page_runs(vaddr, count):
+            out += read(paddr, words)
+        return out
+
     def write_word(self, vaddr: int, value: int) -> None:
-        self.controller.device.write_word(self.vm.translate(vaddr), value)
+        self.write_words(vaddr, (value,))
 
     def read_word(self, vaddr: int) -> int:
-        return self.controller.device.read_word(self.vm.translate(vaddr))
+        return self.read_words(vaddr, 1)[0]
 
     # -- convenience -------------------------------------------------------------------
 

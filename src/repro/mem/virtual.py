@@ -126,6 +126,8 @@ class VirtualMemory:
         (privileged; used by test fixtures and the ANVIL kernel module)."""
         if vaddr % self.config.page_bytes or paddr % self.config.page_bytes:
             raise AllocationError("map_fixed requires page-aligned addresses")
+        if not 0 <= paddr < self.config.phys_bytes:
+            raise AllocationError(f"no physical frame at {paddr:#x}")
         pfn = paddr >> self._page_bits
         if pfn in self._free_frames:
             self._free_frames.remove(pfn)

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dram.device import DEFAULT_FILL_WORD
 from repro.errors import (
+    AddressError,
     AllocationError,
     ClflushRestrictedError,
     PagemapRestrictedError,
@@ -96,6 +98,13 @@ def test_map_fixed():
     assert vm.translate(0x10000000 + 17) == 2 * MB + 17
 
 
+def test_map_fixed_rejects_a_frame_outside_memory():
+    vm = make_vm()
+    with pytest.raises(AllocationError):
+        vm.map_fixed(0x10000000, 64 * MB)
+    assert not vm.is_mapped(0x10000000)
+
+
 def test_free_pages_decrease():
     vm = make_vm()
     before = vm.free_pages
@@ -167,6 +176,39 @@ def test_word_io_via_virtual_addresses(machine):
     base = machine.memory.vm.mmap(8192)
     machine.memory.write_word(base + 8, 42)
     assert machine.memory.read_word(base + 8) == 42
+
+
+def test_word_span_crosses_a_page_onto_a_non_adjacent_frame(machine):
+    memory = machine.memory
+    base = memory.vm.mmap(2 * 4096)
+    frame0, frame1 = memory.vm.translate(base), memory.vm.translate(base + 4096)
+    assert frame1 != frame0 + 4096  # scrambled placement
+    values = [11, 22, 33, 44]
+    memory.write_words(base + 4096 - 16, values)
+    device = memory.device
+    # Two words at the end of the first frame, two at the start of the second.
+    assert device.read_words(frame0 + 4096 - 16, 2) == values[:2]
+    assert device.read_words(frame1, 2) == values[2:]
+    assert memory.read_words(base + 4096 - 16, 4) == values
+    assert [memory.read_word(base + 4096 - 16 + 8 * i) for i in range(4)] == values
+    assert device.read_word(frame0 + 4096) == DEFAULT_FILL_WORD  # frame0's neighbour
+
+
+def test_bad_word_spans_raise_and_store_nothing(machine):
+    memory = machine.memory
+    base = memory.vm.mmap(2 * 4096)
+    start = base + 4096 - 8
+    with pytest.raises(AddressError):
+        memory.write_words(start, [1, 1 << 64])  # second value out of range
+    tail = memory.vm.mmap(4096)
+    end = tail + 4096 - 8
+    assert not memory.vm.is_mapped(end + 8)
+    with pytest.raises(TranslationError):
+        memory.write_words(end, [1, 2])  # second word on an unmapped page
+    with pytest.raises(TranslationError):
+        memory.read_words(end, 2)
+    assert memory.read_words(start, 2) == [DEFAULT_FILL_WORD] * 2
+    assert memory.read_words(end, 1) == [DEFAULT_FILL_WORD]
 
 
 def test_row_of_vaddr_matches_manual_decode(machine):

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.dram import DramConfig, DramCoord, DramDevice, RefreshEngine
 from repro.dram.config import DisturbanceConfig, DramTimings
+from repro.dram.device import DEFAULT_FILL_WORD
+from repro.errors import AddressError
 from repro.units import Clock
 
 
@@ -194,3 +198,105 @@ def test_rewrite_heals_flipped_word():
     word_addr = device.mapping.encode(victim) + (flip.bit_offset // 64) * 8
     device.write_word(word_addr, 0x1234)
     assert device.read_word(word_addr) == 0x1234
+
+
+# -- range word store vs. a model built from flips_in_row and the write order ---------
+
+ROW_WORDS = 8192 // 8
+
+
+class WordLog:
+    """Writes through ``write_words`` and remembers, per word, the value
+    and how many flips its row had then; :meth:`expected` replays flips
+    from ``flips_in_row`` on top, without the device's read path."""
+
+    def __init__(self, device: DramDevice) -> None:
+        self.device = device
+        self.last: dict[int, tuple[int, int]] = {}
+
+    def write(self, paddr: int, values: list[int]) -> None:
+        self.device.write_words(paddr, values)
+        for i, value in enumerate(values):
+            coord = self.device.mapping.decode(paddr + 8 * i)
+            self.last[paddr + 8 * i] = (value, len(self.device.flips_in_row(coord)))
+
+    def expected(self, paddr: int, count: int) -> list[int]:
+        out = []
+        for word in range(paddr, paddr + 8 * count, 8):
+            value, seen = self.last.get(word, (DEFAULT_FILL_WORD, 0))
+            coord = self.device.mapping.decode(word)
+            for flip in self.device.flips_in_row(coord)[seen:]:
+                if flip.bit_offset // 64 == coord.col // 8:
+                    value ^= 1 << (flip.bit_offset % 64)
+            out.append(value)
+        return out
+
+
+def hammer(device: DramDevice, bank: int, victim_row: int, rounds: int, t0: int) -> int:
+    """Double-sided hammer around ``victim_row``; returns the next time."""
+    low, high = DramCoord(0, bank, victim_row - 1, 0), DramCoord(0, bank, victim_row + 1, 0)
+    for i in range(rounds):
+        device.access(low, t0 + i * 100)
+        device.access(high, t0 + i * 100 + 50)
+    return t0 + rounds * 100
+
+
+def pattern(count: int, salt: int) -> list[int]:
+    return [(0x9E3779B97F4A7C15 * (i + salt)) % (1 << 64) for i in range(count)]
+
+
+def test_read_words_applies_flips_after_each_words_last_write():
+    device = small_device(threshold_min=20)
+    log = WordLog(device)
+    victim = DramCoord(0, 0, 100, 0)
+    base = device.mapping.encode(victim)
+    log.write(base, pattern(ROW_WORDS // 2, 1))  # first half, before any flip
+    t = hammer(device, 0, 100, 12, 0)
+    early = device.flips_in_row(victim)
+    assert len(early) >= 2
+    healed = base + (early[0].bit_offset // 64) * 8
+    log.write(healed, [0x1234])  # after a flip: heals it
+    hammer(device, 0, 100, 30, t)
+    flips = device.flips_in_row(victim)
+    assert len(flips) > len(early)
+    words_hit = {flip.bit_offset // 64 for flip in flips}
+    assert any(w < ROW_WORDS // 2 for w in words_hit)  # written words flipped
+    assert any(w >= ROW_WORDS // 2 for w in words_hit)  # unwritten words flipped
+    want = log.expected(base, ROW_WORDS)
+    assert device.read_words(base, ROW_WORDS) == want
+    assert [device.read_word(base + 8 * i) for i in range(ROW_WORDS)] == want
+
+
+def test_words_span_a_dram_row_boundary():
+    device = small_device(threshold_min=20)
+    log = WordLog(device)
+    first, second = DramCoord(0, 0, 100, 0), DramCoord(0, 1, 100, 0)
+    base = device.mapping.encode(first)
+    assert device.mapping.encode(second) == base + 8192  # the next row in address order
+    t = hammer(device, 0, 100, 12, 0)
+    assert device.flips_in_row(first) and not device.flips_in_row(second)
+    # One write over both rows: each row's words record that row's flips.
+    log.write(base, pattern(2 * ROW_WORDS, 7))
+    t = hammer(device, 0, 100, 30, t)
+    hammer(device, 1, 100, 30, t)
+    assert device.flips_in_row(second)
+    assert device.read_words(base, 2 * ROW_WORDS) == log.expected(base, 2 * ROW_WORDS)
+    mid = base + 8192 - 8 * 300
+    assert device.read_words(mid, 600) == log.expected(mid, 600)
+
+
+def test_bad_words_raise_and_store_nothing():
+    device = small_device()
+    end = device.mapping.capacity
+    with pytest.raises(AddressError):
+        device.write_words(0, [1, 2, 1 << 64])
+    with pytest.raises(AddressError):
+        device.write_words(0, [1, -1])
+    with pytest.raises(AddressError):
+        device.write_words(end - 16, [1, 2, 3])
+    with pytest.raises(AddressError):
+        device.read_words(end - 8, 2)
+    with pytest.raises(AddressError):
+        device.write_word(end, 1)
+    assert device.read_words(0, 3) == [DEFAULT_FILL_WORD] * 3
+    assert device.read_words(end - 16, 2) == [DEFAULT_FILL_WORD] * 2
