@@ -44,13 +44,22 @@ def conflict_candidates(
     # Matching bits below the page boundary means matching page offset.
     line = llc.config.line_bytes
     offset_in_page = target_paddr & (page - 1) & ~(line - 1)
+    first = pool_base + offset_in_page
+    offset = first & (page - 1)
+    # set_index = slice * sets_per_slice + (line & set_mask): compare the
+    # slice-local set bits first, and hash only the pages that pass.
+    set_bits = (llc.config.sets_per_slice - 1) * line
+    target_set = target_paddr & set_bits
+    target_slice = llc.slice_index(target_paddr)
     matches = []
-    for page_base in range(pool_base, pool_base + pool_len, page):
-        vaddr = page_base + offset_in_page
-        paddr = pagemap.virt_to_phys(vaddr, privileged=privileged)
-        if paddr == target_paddr:
-            continue
-        if llc.same_set(paddr, target_paddr):
+    frames = pagemap.frames(first, pool_len, privileged=privileged)
+    for vaddr, frame in zip(range(first, first + pool_len, page), frames):
+        paddr = frame | offset
+        if (
+            paddr & set_bits == target_set
+            and paddr != target_paddr
+            and llc.slice_index(paddr) == target_slice
+        ):
             matches.append(vaddr)
     return matches
 

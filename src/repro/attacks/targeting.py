@@ -53,14 +53,15 @@ class RowResolver:
         pagemap mitigation is active and the caller is unprivileged.
         """
         page = self.memsys.vm.config.page_bytes
-        pagemap = self.memsys.pagemap
-        mapping = self.memsys.mapping
-        for vaddr in range(base_vaddr, base_vaddr + length, page):
-            paddr = pagemap.virt_to_phys(vaddr, privileged=self.privileged)
-            coord = mapping.decode(paddr)
-            key = (coord.rank, coord.bank, coord.row)
-            self.rows.setdefault(key, vaddr)
-        return len(self.rows)
+        offset = base_vaddr & (page - 1)
+        frames = self.memsys.pagemap.frames(
+            base_vaddr, length, privileged=self.privileged
+        )
+        row_key = self.memsys.mapping.row_key
+        rows = self.rows
+        for vaddr, frame in zip(range(base_vaddr, base_vaddr + length, page), frames):
+            rows.setdefault(row_key(frame | offset), vaddr)
+        return len(rows)
 
     # -- queries -------------------------------------------------------------
 

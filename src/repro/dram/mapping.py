@@ -51,6 +51,10 @@ class AddressMapping:
         self._bank_shift = self._col_bits
         self._rank_shift = self._bank_shift + self._bank_bits
         self._row_shift = self._rank_shift + self._rank_bits
+        self._col_mask = config.row_bytes - 1
+        self._bank_mask = config.banks_per_rank - 1
+        self._rank_mask = config.ranks - 1
+        self._row_mask = config.rows_per_bank - 1
         self.capacity = config.capacity_bytes
 
     # -- decode ---------------------------------------------------------------
@@ -61,13 +65,18 @@ class AddressMapping:
             raise AddressError(
                 f"physical address {paddr:#x} outside module ({self.capacity:#x})"
             )
-        col = paddr & (self.config.row_bytes - 1)
-        bank = (paddr >> self._bank_shift) & (self.config.banks_per_rank - 1)
-        rank = (paddr >> self._rank_shift) & (self.config.ranks - 1)
-        row = (paddr >> self._row_shift) & (self.config.rows_per_bank - 1)
+        rank, bank, row = self.row_key(paddr)
+        return DramCoord(rank, bank, row, paddr & self._col_mask)
+
+    def row_key(self, paddr: int) -> tuple[int, int, int]:
+        """``(rank, bank, row)`` of ``paddr``: :meth:`decode` without the
+        column or the range check."""
+        bank = (paddr >> self._bank_shift) & self._bank_mask
+        rank = (paddr >> self._rank_shift) & self._rank_mask
+        row = (paddr >> self._row_shift) & self._row_mask
         if self.config.xor_bank_hash:
-            bank ^= row & (self.config.banks_per_rank - 1)
-        return DramCoord(rank=rank, bank=bank, row=row, col=col)
+            bank ^= row & self._bank_mask
+        return rank, bank, row
 
     # -- encode ---------------------------------------------------------------
 

@@ -10,6 +10,8 @@ experiments can study attacks with and without the mitigation.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from ..errors import PagemapRestrictedError
 from .virtual import VirtualMemory
 
@@ -20,7 +22,12 @@ class Pagemap:
     def __init__(self, vm: VirtualMemory, restricted: bool = False) -> None:
         self._vm = vm
         self.restricted = restricted
-        self.reads = 0
+
+    def _check(self, privileged: bool) -> None:
+        if self.restricted and not privileged:
+            raise PagemapRestrictedError(
+                "/proc/self/pagemap requires CAP_SYS_ADMIN on this kernel"
+            )
 
     def virt_to_phys(self, vaddr: int, privileged: bool = False) -> int:
         """Translate like reading the pagemap entry for ``vaddr``.
@@ -29,12 +36,21 @@ class Pagemap:
         restricted and the caller is not privileged, and
         :class:`~repro.errors.TranslationError` if the page is unmapped.
         """
-        if self.restricted and not privileged:
-            raise PagemapRestrictedError(
-                "/proc/self/pagemap requires CAP_SYS_ADMIN on this kernel"
-            )
-        self.reads += 1
+        self._check(privileged)
         return self._vm.translate(vaddr)
+
+    def frames(self, vaddr: int, length: int, privileged: bool = False) -> Iterator[int]:
+        """Read the entries of ``[vaddr, vaddr + length)`` in one pass, like
+        one ``pread`` of a pagemap range: the frame base address of the page
+        holding each of ``range(vaddr, vaddr + length, page_bytes)``.
+
+        The restriction check happens here, before anything is read; the
+        frames are then streamed from the page table (filling the TLB as
+        :meth:`virt_to_phys` does), and iteration raises
+        :class:`~repro.errors.TranslationError` at the first unmapped page.
+        """
+        self._check(privileged)
+        return self._vm.frames(vaddr, length)
 
     def page_frame_number(self, vaddr: int, privileged: bool = False) -> int:
         """The PFN field of the pagemap entry."""

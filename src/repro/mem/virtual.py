@@ -10,13 +10,18 @@ Physical pages are handed out by a configurable strategy:
 - ``"sequential"`` — pages are physically contiguous (fresh boot, THP);
 - ``"scrambled"`` — a deterministic pseudo-random permutation of frames
   (a fragmented machine), which is what makes pagemap *necessary* for the
-  attacker.
+  attacker.  The permutation is drawn as frames are handed out: each frame
+  :meth:`VirtualMemory.mmap` takes costs one Fisher–Yates step, so a
+  machine pays (in time and memory) only for the pages it allocates, yet
+  gets the frames a ``random.Random(seed).shuffle`` of the whole free list
+  would give.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Iterator
 
 from ..errors import AllocationError, ConfigError, TranslationError
 from ..units import is_power_of_two
@@ -49,6 +54,50 @@ class VmConfig:
             raise ConfigError("reserved region covers all of memory")
 
 
+class _LazyShuffle:
+    """The free frames ``first .. first + count - 1`` in the order that
+    ``random.Random(seed).shuffle`` of that list would leave them, drawn
+    one step per :meth:`pop`.
+
+    ``shuffle`` fixes the list from the end first: for ``i`` descending,
+    ``j = randbelow(i + 1)``, swap ``i`` and ``j``.  :meth:`pop` takes that
+    step for the last position and pops it, so it draws the same RNG
+    values in the same order, and returns the same frames, as popping a
+    list shuffled up front.  The list itself is never built: position
+    ``p`` holds ``first + p`` unless a swap moved another frame there
+    (``_moved``), so memory grows with the frames handed out, not with
+    the module.
+    """
+
+    def __init__(self, first: int, count: int, seed: int) -> None:
+        self._first = first
+        self._count = count
+        self._rng = random.Random(seed)
+        self._moved: dict[int, int] = {}  # position -> frame, where swapped
+
+    def __len__(self) -> int:
+        return self._count
+
+    def pop(self) -> int:
+        i = self._count - 1
+        self._count = i
+        frame = self._moved.pop(i, self._first + i)
+        if i:
+            # randrange(n) draws exactly what shuffle's randbelow(n) draws.
+            j = self._rng.randrange(i + 1)
+            if j != i:
+                # Swap: position j keeps frame i, and j's frame is popped.
+                frame, self._moved[j] = self._moved.get(j, self._first + j), frame
+        return frame
+
+    def finish(self) -> list[int]:
+        """The frames not yet handed out, as a list in final order: the
+        steps left are exactly a ``random.shuffle`` of that list."""
+        frames = [self._moved.get(p, self._first + p) for p in range(self._count)]
+        self._rng.shuffle(frames)
+        return frames
+
+
 class VirtualMemory:
     """Page tables plus a simple bump allocator for virtual space."""
 
@@ -59,14 +108,17 @@ class VirtualMemory:
         self.config = config
         self._page_bits = config.page_bytes.bit_length() - 1
         self._offset_mask = config.page_bytes - 1
-        first_frame = config.reserved_low_bytes >> self._page_bits
+        self._first_frame = config.reserved_low_bytes >> self._page_bits
         total_frames = config.phys_bytes >> self._page_bits
-        frames = list(range(first_frame, total_frames))
+        self._free_frames: list[int] | _LazyShuffle
         if config.placement == "scrambled":
-            random.Random(config.seed).shuffle(frames)
+            self._free_frames = _LazyShuffle(
+                self._first_frame, total_frames - self._first_frame, config.seed
+            )
         else:
+            frames = list(range(self._first_frame, total_frames))
             frames.reverse()  # consumed from the end: keep ascending order
-        self._free_frames = frames
+            self._free_frames = frames
         self._page_table: dict[int, int] = {}  # vpn -> pfn
         # Software TLB: vpn -> pre-shifted frame base (pfn << page_bits),
         # filled lazily by translate() and invalidated on remap.  The hit
@@ -105,18 +157,24 @@ class VirtualMemory:
             self._page_table[vpn0 + i] = pfn
         return base
 
+    def _free_list(self) -> list[int]:
+        """The free list as a real list, for callers that look through all
+        of it: a lazy shuffle takes every step it has left first."""
+        if isinstance(self._free_frames, _LazyShuffle):
+            self._free_frames = self._free_frames.finish()
+        return self._free_frames
+
     def _take_contiguous(self, pages: int) -> list[int]:
         """Find a run of ``pages`` consecutive free frames."""
-        available = sorted(self._free_frames)
+        free = self._free_list()
+        available = sorted(free)
         run_start = 0
         for i in range(1, len(available) + 1):
             if i == len(available) or available[i] != available[i - 1] + 1:
                 if i - run_start >= pages:
                     chosen = available[run_start : run_start + pages]
                     chosen_set = set(chosen)
-                    self._free_frames = [
-                        f for f in self._free_frames if f not in chosen_set
-                    ]
+                    self._free_frames = [f for f in free if f not in chosen_set]
                     return chosen
                 run_start = i
         raise AllocationError(f"no physically contiguous run of {pages} pages")
@@ -129,8 +187,11 @@ class VirtualMemory:
         if not 0 <= paddr < self.config.phys_bytes:
             raise AllocationError(f"no physical frame at {paddr:#x}")
         pfn = paddr >> self._page_bits
-        if pfn in self._free_frames:
-            self._free_frames.remove(pfn)
+        # Reserved frames never enter the free list: skip the linear scan.
+        if pfn >= self._first_frame:
+            free = self._free_list()
+            if pfn in free:
+                free.remove(pfn)
         vpn = vaddr >> self._page_bits
         self._page_table[vpn] = pfn
         # The page may have been translated before: drop any stale TLB entry.
@@ -155,6 +216,29 @@ class VirtualMemory:
             frame = pfn << self._page_bits
             self._tlb[vpn] = frame
         return frame | (vaddr & self._offset_mask)
+
+    def frames(self, vaddr: int, length: int) -> Iterator[int]:
+        """Yield the frame base (``pfn << page_bits``) of the page holding
+        each address in ``range(vaddr, vaddr + length, page_bytes)``.
+
+        Walks the page table once per page and fills the TLB exactly as
+        :meth:`translate` would; raises :class:`TranslationError` on
+        reaching the first unmapped page.
+        """
+        bits = self._page_bits
+        tlb = self._tlb
+        table = self._page_table
+        vpn0 = vaddr >> bits
+        pages = -(-length // self.config.page_bytes)
+        for vpn in range(vpn0, vpn0 + pages):
+            frame = tlb.get(vpn)
+            if frame is None:
+                pfn = table.get(vpn)
+                if pfn is None:
+                    missing = vaddr + ((vpn - vpn0) << bits)
+                    raise TranslationError(f"no mapping for virtual address {missing:#x}")
+                frame = tlb[vpn] = pfn << bits
+            yield frame
 
     def invalidate_tlb(self) -> None:
         """Drop every memoised translation (full TLB shootdown)."""

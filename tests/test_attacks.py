@@ -9,8 +9,9 @@ from repro.attacks import (
     DoubleSidedClflushAttack,
     SingleSidedClflushAttack,
 )
+from repro.attacks.targeting import HammerTriple, RowResolver
 from repro.errors import ClflushRestrictedError
-from repro.presets import small_machine
+from repro.presets import paper_machine, small_machine
 from repro.units import MB
 
 THRESHOLD = 4_000  # fast-flipping test module
@@ -281,3 +282,71 @@ def test_clflush_free_under_anvil_pinned(attack_machine, fast_anvil_config):
              (0, 0, 1228), (0, 0, 1230), (0, 0, 1232)],
         ),
     ]
+
+
+# -- exact setup oracle on paper_machine ------------------------------------------------
+#
+# What preparation hands an attack on the 4 GB testbed at seed 1, recorded
+# with the free list shuffled up front and one pagemap read per page: the
+# frames of the 256 MB attack buffer, the hammer triple each attack picks
+# and the CLFLUSH-free eviction sets.  The tests above pin only
+# small_machine.
+
+PAPER_BUF = 256 * MB
+PINNED_PAPER_TRIPLE = HammerTriple(
+    bank_key=(0, 3),
+    victim_row=13488,
+    victim_vaddr=0x7F0000EC4000,
+    aggressor_low_vaddr=0x7F0002A65000,
+    aggressor_high_vaddr=0x7F000964B000,
+)
+# Both aggressors fall in LLC set 2496 at this seed, so Set X and Set Y
+# come out as the same twelve addresses.
+PINNED_PAPER_EVICTION_SET = [
+    0x7F000001A000, 0x7F0000056000, 0x7F0000069000, 0x7F000007D000,
+    0x7F0000141000, 0x7F0000164000, 0x7F00001F0000, 0x7F000020E000,
+    0x7F000024C000, 0x7F000024F000, 0x7F000039A000, 0x7F00003A6000,
+]
+
+
+def prepare_on_paper_machine(attack_cls, monkeypatch):
+    """Prepare ``attack_cls`` on ``paper_machine(seed=1)``; returns the
+    attack and every triple its resolver chose."""
+    chosen = []
+    choose = RowResolver.choose_triple
+
+    def spy(self, score=None):
+        chosen.append(choose(self, score))
+        return chosen[-1]
+
+    monkeypatch.setattr(RowResolver, "choose_triple", spy)
+    attack = attack_cls(buffer_bytes=PAPER_BUF, seed=1)
+    attack.prepare(paper_machine(seed=1))
+    return attack, chosen
+
+
+def test_paper_machine_buffer_frames_pinned():
+    import zlib
+
+    vm = paper_machine(seed=1).memory.vm
+    base = vm.mmap(PAPER_BUF)
+    frames = ",".join(str(vm.translate(base + i * 4096) >> 12) for i in range(PAPER_BUF // 4096))
+    assert (base, zlib.crc32(frames.encode()), vm.free_pages) == (
+        0x7F00_0000_0000, 2542323421, 978944,
+    )
+
+
+@pytest.mark.parametrize(
+    "attack_cls", [DoubleSidedClflushAttack, SingleSidedClflushAttack],
+    ids=lambda cls: cls.__name__,
+)
+def test_paper_machine_triple_pinned(attack_cls, monkeypatch):
+    attack, chosen = prepare_on_paper_machine(attack_cls, monkeypatch)
+    assert chosen == [PINNED_PAPER_TRIPLE]
+    assert attack.aggressor_coords[0] == (0, 3, 13487, 0)
+
+
+def test_paper_machine_eviction_sets_pinned(monkeypatch):
+    attack, chosen = prepare_on_paper_machine(ClflushFreeAttack, monkeypatch)
+    assert chosen == [PINNED_PAPER_TRIPLE]
+    assert attack.eviction_sets == (PINNED_PAPER_EVICTION_SET, PINNED_PAPER_EVICTION_SET)

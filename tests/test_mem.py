@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.dram.device import DEFAULT_FILL_WORD
@@ -123,6 +125,105 @@ def test_distinct_pages_get_distinct_frames(offsets):
     assert len(frames) == len(pages)
 
 
+class UpFrontPool:
+    """The frame pool as a model: the whole free list shuffled with
+    ``random.Random(seed).shuffle`` before the first allocation, then
+    popped from the end, searched by ``map_fixed`` and by contiguous
+    allocations.  :class:`VirtualMemory` draws its shuffle lazily and must
+    hand out the same frames."""
+
+    def __init__(self, config: VmConfig) -> None:
+        bits = config.page_bytes.bit_length() - 1
+        self.frames = list(range(config.reserved_low_bytes >> bits, config.phys_bytes >> bits))
+        if config.placement == "scrambled":
+            random.Random(config.seed).shuffle(self.frames)
+        else:
+            self.frames.reverse()
+
+    def mmap(self, pages: int, contiguous: bool) -> list[int]:
+        if pages > len(self.frames):
+            raise AllocationError("out of frames")
+        if not contiguous:
+            return [self.frames.pop() for _ in range(pages)]
+        available = sorted(self.frames)
+        run_start = 0
+        for i in range(1, len(available) + 1):
+            if i == len(available) or available[i] != available[i - 1] + 1:
+                if i - run_start >= pages:
+                    chosen = available[run_start : run_start + pages]
+                    chosen_set = set(chosen)
+                    self.frames = [f for f in self.frames if f not in chosen_set]
+                    return chosen
+                run_start = i
+        raise AllocationError("no contiguous run")
+
+    def map_fixed(self, pfn: int) -> None:
+        if pfn in self.frames:
+            self.frames.remove(pfn)
+
+
+POOL_FRAMES = 64
+POOL_RESERVED = 8
+pool_calls = st.lists(
+    st.one_of(
+        st.tuples(st.just("mmap"), st.integers(min_value=1, max_value=24)),
+        st.tuples(st.just("contiguous"), st.integers(min_value=1, max_value=8)),
+        # A frame anywhere: reserved, free or already handed out.
+        st.tuples(st.just("fixed"), st.integers(min_value=0, max_value=POOL_FRAMES - 1)),
+        # The k-th frame handed out so far (modulo), so remaps hit mapped frames.
+        st.tuples(st.just("fixed-mapped"), st.integers(min_value=0, max_value=POOL_FRAMES)),
+    ),
+    max_size=20,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    placement=st.sampled_from(["scrambled", "sequential"]),
+    seed=st.integers(min_value=0, max_value=1 << 32),
+    calls=pool_calls,
+)
+# The last reserved frame and the first free one, on either side of the boundary.
+@example(placement="scrambled", seed=1, calls=[("fixed", POOL_RESERVED - 1), ("mmap", 3)])
+@example(placement="scrambled", seed=1, calls=[("mmap", 3), ("fixed", POOL_RESERVED)])
+def test_frame_pool_matches_an_up_front_shuffle(placement, seed, calls):
+    config = VmConfig(phys_bytes=POOL_FRAMES * 4096, placement=placement, seed=seed,
+                      reserved_low_bytes=POOL_RESERVED * 4096)
+    vm = VirtualMemory(config)
+    model = UpFrontPool(config)
+    handed_out: list[int] = []
+    fixed_vaddr = 0x1000_0000
+    for kind, n in calls:
+        if kind.startswith("fixed"):
+            if kind == "fixed-mapped":
+                if not handed_out:
+                    continue
+                n = handed_out[n % len(handed_out)]
+            vm.map_fixed(fixed_vaddr, n * 4096)
+            model.map_fixed(n)
+            assert vm.translate(fixed_vaddr) == n * 4096
+            fixed_vaddr += 4096
+        else:
+            contiguous = kind == "contiguous"
+            try:
+                expected = model.mmap(n, contiguous)
+            except AllocationError:
+                with pytest.raises(AllocationError):
+                    vm.mmap(n * 4096, physically_contiguous=contiguous)
+            else:
+                base = vm.mmap(n * 4096, physically_contiguous=contiguous)
+                got = [vm.translate(base + i * 4096) // 4096 for i in range(n)]
+                assert got == expected
+                handed_out += got
+        assert vm.free_pages == len(model.frames)
+    # Whatever is left comes out in the model's order too.
+    if model.frames:
+        base = vm.mmap(len(model.frames) * 4096)
+        rest = [vm.translate(base + i * 4096) // 4096 for i in range(len(model.frames))]
+        assert rest == model.mmap(len(model.frames), False)
+    assert vm.free_pages == 0
+
+
 # -- pagemap ----------------------------------------------------------------------
 
 
@@ -142,6 +243,40 @@ def test_pagemap_restricted_allows_privileged():
     machine = small_machine(pagemap_restricted=True)
     base = machine.memory.vm.mmap(8192)
     assert machine.memory.pagemap.virt_to_phys(base, privileged=True) >= 0
+
+
+def test_pagemap_range_read_matches_per_page_reads(machine):
+    vm, pagemap = machine.memory.vm, machine.memory.pagemap
+    base = vm.mmap(64 * 4096)
+    start = base + 100  # one entry per page of the range, wherever it starts
+    frames = pagemap.frames(start, 64 * 4096 - 100)
+    assert list(frames) == [
+        pagemap.virt_to_phys(start + i * 4096) & ~4095 for i in range(64)
+    ]
+
+
+def test_pagemap_range_read_checks_restriction_before_reading():
+    machine = small_machine(pagemap_restricted=True)
+    pagemap = machine.memory.pagemap
+    base = machine.memory.vm.mmap(8192)
+    # Raised by the call itself, before any entry is read: the range
+    # starts on an unmapped page, so reading would raise TranslationError.
+    with pytest.raises(PagemapRestrictedError):
+        pagemap.frames(base - 4096, 3 * 4096)
+    assert list(pagemap.frames(base, 8192, privileged=True)) == [
+        pagemap.virt_to_phys(base + i * 4096, privileged=True) for i in range(2)
+    ]
+
+
+def test_pagemap_range_read_stops_at_an_unmapped_page(machine):
+    vm = machine.memory.vm
+    base = vm.mmap(2 * 4096)
+    assert not vm.is_mapped(base + 2 * 4096)
+    frames = machine.memory.pagemap.frames(base, 3 * 4096)
+    assert next(frames) == vm.translate(base)
+    assert next(frames) == vm.translate(base + 4096)
+    with pytest.raises(TranslationError):
+        next(frames)
 
 
 # -- memory system ------------------------------------------------------------------
