@@ -19,8 +19,9 @@ same op stream):
   mostly in the cache hierarchy.
 - **clflush_free**: the CLFLUSH-free attack's stream (paper Section 2.2):
   ``PAIR_LOAD`` ops steering the LLC's Bit-PLRU state through two
-  eviction sets, so most loads miss L1/L2 and one pair in six reaches
-  DRAM.  Gated at >= 1.5x; replacement-policy updates dominate it.
+  eviction sets, so every load misses L1 and L2 and one pair in six
+  reaches DRAM.  Gated at >= 1.5x; the cache walk dominates it on both
+  engines (three set ``touch`` calls per load, two of them evictions).
 - **hammer_background**: hammer_same_bank with the heavy-load co-runners
   (``BackgroundMix(seed=1)``, paper Section 4.2) attached, so every
   foreground load is followed by injected co-runner accesses, which the

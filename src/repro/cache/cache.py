@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .config import CacheConfig
-from .replacement import ReplacementPolicy, make_policy
+from .replacement import FILLED, HIT, ReplacementPolicy, make_policy
 from .slicing import slice_of
 
 
@@ -32,17 +32,6 @@ class CacheStats:
     @property
     def miss_rate(self) -> float:
         return self.misses / self.accesses if self.accesses else 0.0
-
-
-class _CacheSet:
-    """One set: parallel arrays of tags plus a replacement-policy instance."""
-
-    __slots__ = ("tags", "policy", "lookup")
-
-    def __init__(self, ways: int, policy: ReplacementPolicy) -> None:
-        self.tags: list[int | None] = [None] * ways
-        self.policy = policy
-        self.lookup: dict[int, int] = {}  # tag -> way
 
 
 @dataclass
@@ -78,11 +67,13 @@ class Cache:
         # Slice hashing is the expensive part of indexing; memoise the
         # global set index per line address (sliced caches only).
         self._index_memo: dict[int, int] = {}
-        self._sets: list[_CacheSet] = [
-            _CacheSet(
-                config.ways,
-                make_policy(config.policy, config.ways, seed=config.policy_seed + i),
-            )
+        #: One replacement-policy object per set (it holds the set's lines).
+        self._sets: list[ReplacementPolicy] = self._new_sets()
+
+    def _new_sets(self) -> list[ReplacementPolicy]:
+        config = self.config
+        return [
+            make_policy(config.policy, config.ways, seed=config.policy_seed + i)
             for i in range(config.sets_per_slice * config.slices)
         ]
 
@@ -117,17 +108,16 @@ class Cache:
 
     def probe(self, paddr: int) -> bool:
         """Non-destructive residency check (no replacement-state update)."""
-        cset = self._sets[self.set_index(paddr)]
-        return self.line_addr(paddr) in cset.lookup
+        return (paddr >> self._line_bits) in self._sets[self.set_index(paddr)]
 
     def access(self, paddr: int) -> bool:
         """Look up ``paddr``; on a hit update replacement state and return
         True.  On a miss return False *without* filling — the hierarchy
         decides when and where to fill."""
         cset = self._sets[self.set_index(paddr)]
-        way = cset.lookup.get(self.line_addr(paddr))
-        if way is not None:
-            cset.policy.on_hit(way)
+        line = paddr >> self._line_bits
+        if line in cset:
+            cset.touch(line)
             self.stats.hits += 1
             return True
         self.stats.misses += 1
@@ -137,31 +127,14 @@ class Cache:
         """Install the line for ``paddr``, evicting if the set is full.
 
         Returns the evicted *line address* (if any) so inclusive
-        hierarchies can back-invalidate inner levels.
+        hierarchies can back-invalidate inner levels.  Filling a resident
+        line only touches it.
         """
-        cset = self._sets[self.set_index(paddr)]
-        line = self.line_addr(paddr)
-        if line in cset.lookup:
-            # Already present (e.g. racing fill): treat as a touch.
-            cset.policy.on_hit(cset.lookup[line])
+        outcome = self._sets[self.set_index(paddr)].touch(paddr >> self._line_bits)
+        if outcome is HIT or outcome is FILLED:
             return FillResult()
-        if len(cset.lookup) < len(cset.tags):
-            # Prefer an invalid way.
-            for way, tag in enumerate(cset.tags):
-                if tag is None:
-                    cset.tags[way] = line
-                    cset.lookup[line] = way
-                    cset.policy.on_fill(way)
-                    return FillResult()
-        way = cset.policy.victim()
-        evicted = cset.tags[way]
-        if evicted is not None:
-            del cset.lookup[evicted]
-            self.stats.evictions += 1
-        cset.tags[way] = line
-        cset.lookup[line] = way
-        cset.policy.on_fill(way)
-        return FillResult(evicted_line=evicted)
+        self.stats.evictions += 1
+        return FillResult(evicted_line=outcome)
 
     def access_fill(self, paddr: int) -> tuple[bool, int | None]:
         """Fused lookup-and-fill for the hierarchy's hot path.
@@ -172,43 +145,23 @@ class Cache:
         Equivalent to ``access()`` followed by ``fill()`` but with a
         single set lookup.
         """
-        cset = self._sets[self.set_index(paddr)]
-        line = paddr >> self._line_bits
-        lookup = cset.lookup
-        way = lookup.get(line)
-        if way is not None:
-            cset.policy.on_hit(way)
+        outcome = self._sets[self.set_index(paddr)].touch(paddr >> self._line_bits)
+        if outcome is HIT:
             self.stats.hits += 1
             return _HIT
         self.stats.misses += 1
-        tags = cset.tags
-        if len(lookup) < len(tags):
-            way = tags.index(None)
-            tags[way] = line
-            lookup[line] = way
-            cset.policy.on_fill(way)
+        if outcome is FILLED:
             return _MISS_CLEAN
-        way = cset.policy.victim()
-        evicted = tags[way]
-        del lookup[evicted]
         self.stats.evictions += 1
-        tags[way] = line
-        lookup[line] = way
-        cset.policy.on_fill(way)
-        return False, evicted
+        return False, outcome
 
     def invalidate(self, paddr: int) -> bool:
         """Remove the line for ``paddr`` if present.  Returns True if it
         was resident (CLFLUSH, back-invalidation)."""
-        cset = self._sets[self.set_index(paddr)]
-        line = self.line_addr(paddr)
-        way = cset.lookup.pop(line, None)
-        if way is None:
-            return False
-        cset.tags[way] = None
-        cset.policy.on_invalidate(way)
-        self.stats.invalidations += 1
-        return True
+        if self._sets[self.set_index(paddr)].discard(paddr >> self._line_bits):
+            self.stats.invalidations += 1
+            return True
+        return False
 
     def invalidate_line(self, line: int) -> bool:
         """Invalidate by line address (used for back-invalidation)."""
@@ -216,16 +169,9 @@ class Cache:
 
     def flush_all(self) -> None:
         """Drop every line (used between experiment phases)."""
-        config = self.config
         self._index_memo.clear()
-        self._sets = [
-            _CacheSet(
-                config.ways,
-                make_policy(config.policy, config.ways, seed=config.policy_seed + i),
-            )
-            for i in range(config.sets_per_slice * config.slices)
-        ]
+        self._sets = self._new_sets()
 
     def resident_lines(self) -> list[int]:
         """All line addresses currently cached (diagnostics/tests)."""
-        return [tag for cset in self._sets for tag in cset.tags if tag is not None]
+        return [tag for cset in self._sets for tag in cset.resident()]

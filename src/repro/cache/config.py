@@ -100,7 +100,8 @@ class HierarchyConfig:
     miss_overhead_cycles: int = 10
 
     def __post_init__(self) -> None:
-        if self.l1.line_bytes != self.l2.line_bytes != self.llc.line_bytes:
+        if not self.l1.line_bytes == self.l2.line_bytes == self.llc.line_bytes:
+            # Back-invalidation hands LLC line numbers to L1 and L2.
             raise ConfigError("all cache levels must share a line size")
         if self.clflush_cycles < 0 or self.mfence_cycles < 0:
             raise ConfigError("instruction costs must be non-negative")

@@ -12,42 +12,28 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable, Sequence
 
-from .replacement import ReplacementPolicy, make_policy
+from .replacement import HIT, make_policy
 
 
 class SetModel:
-    """One ``ways``-associative cache set under a chosen policy."""
+    """One ``ways``-associative cache set under a chosen policy: the same
+    set object a :class:`~repro.cache.cache.Cache` holds per set, driven
+    by symbolic tags."""
 
-    def __init__(self, policy: str | ReplacementPolicy, ways: int, seed: int = 0):
-        if isinstance(policy, str):
-            self.policy = make_policy(policy, ways, seed=seed)
-        else:
-            self.policy = policy
+    def __init__(self, policy: str, ways: int, seed: int = 0):
+        self.cache_set = make_policy(policy, ways, seed=seed)
         self.ways = ways
-        self.tags: list[Hashable | None] = [None] * ways
-        self._lookup: dict[Hashable, int] = {}
 
     def access(self, tag: Hashable) -> bool:
         """Access ``tag``; returns True on hit (filling on miss)."""
-        way = self._lookup.get(tag)
-        if way is not None:
-            self.policy.on_hit(way)
-            return True
-        way = next((w for w, t in enumerate(self.tags) if t is None), None)
-        if way is None:
-            way = self.policy.victim()
-            del self._lookup[self.tags[way]]
-        self.tags[way] = tag
-        self._lookup[tag] = way
-        self.policy.on_fill(way)
-        return False
+        return self.cache_set.touch(tag) is HIT
 
     def run(self, stream: Iterable[Hashable]) -> list[bool]:
         """Hit/miss outcome for each access in ``stream``."""
         return [self.access(tag) for tag in stream]
 
     def contains(self, tag: Hashable) -> bool:
-        return tag in self._lookup
+        return tag in self.cache_set
 
 
 def steady_state_misses(

@@ -54,13 +54,13 @@ class AnvilModule:
         if self.installed:
             return
         self.stats.installed_at_cycles = self.machine.cycles
-        self.detector.start()
+        self.detector.start(self.machine)
         self.installed = True
 
     def uninstall(self) -> None:
         if not self.installed:
             return
-        self.detector.stop()
+        self.detector.stop(self.machine)
         self.installed = False
 
     # -- reporting ----------------------------------------------------------------

@@ -24,10 +24,15 @@ from .stats import AnvilStats, Detection
 
 
 class AnvilDetector:
-    """Timer-driven detector; drive via :class:`repro.core.AnvilModule`."""
+    """Timer-driven detector; drive via :class:`repro.core.AnvilModule`.
+
+    It keeps no reference to its machine: the machine holds the detector's
+    timer callbacks, which receive the machine, and :meth:`start` and
+    :meth:`stop` take it from the caller, so a dropped machine is freed
+    without waiting for the cyclic garbage collector.
+    """
 
     def __init__(self, machine: Machine, config: AnvilConfig, stats: AnvilStats):
-        self.machine = machine
         self.config = config
         self.stats = stats
         self._running = False
@@ -37,20 +42,20 @@ class AnvilDetector:
         self._load_miss_counter = machine.pmu.counter(
             Event.MEM_LOAD_UOPS_MISC_RETIRED_LLC_MISS
         )
-        self._refresher = SelectiveRefresher(machine, config)
+        self._refresher = SelectiveRefresher(config)
         self._window_start_misses = 0
         self._window_start_load_misses = 0
 
     # -- lifecycle -----------------------------------------------------------
 
-    def start(self) -> None:
+    def start(self, machine: Machine) -> None:
         self._running = True
-        self._begin_stage1(self.machine)
+        self._begin_stage1(machine)
 
-    def stop(self) -> None:
+    def stop(self, machine: Machine) -> None:
         self._running = False
-        self.machine.pmi_cost_cycles = 0
-        self.machine.pmu.disable_sampling()
+        machine.pmi_cost_cycles = 0
+        machine.pmu.disable_sampling()
 
     # -- stage 1 ----------------------------------------------------------------
 
@@ -131,8 +136,8 @@ class AnvilDetector:
 
         analysis = analyze_row_samples(rows, window_misses, self.config)
         if analysis.attack_detected:
-            victims = self._refresher.victims_of(analysis.aggressors)
-            refreshed = self._refresher.refresh(victims)
+            victims = self._refresher.victims_of(machine, analysis.aggressors)
+            refreshed = self._refresher.refresh(machine, victims)
             self.stats.selective_refreshes += refreshed
             self.stats.refresh_times_cycles.extend([machine.cycles] * refreshed)
             self.stats.detections.append(

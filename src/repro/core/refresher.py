@@ -20,18 +20,20 @@ from .sampler import DetectedAggressor, RowKey
 
 
 class SelectiveRefresher:
-    """Reads the neighbours of detected aggressor rows."""
+    """Reads the neighbours of detected aggressor rows on the machine its
+    caller passes (it keeps none)."""
 
-    def __init__(self, machine: Machine, config: AnvilConfig) -> None:
-        self.machine = machine
+    def __init__(self, config: AnvilConfig) -> None:
         self.config = config
 
-    def victims_of(self, aggressors: list[DetectedAggressor]) -> list[RowKey]:
+    def victims_of(
+        self, machine: Machine, aggressors: list[DetectedAggressor]
+    ) -> list[RowKey]:
         """Potential victim rows: within ``victim_radius`` of any
         aggressor, deduplicated, excluding the aggressors themselves
         (they are refreshed by the attack's own activations)."""
         aggressor_keys = {a.row_key for a in aggressors}
-        rows_per_bank = self.machine.memory.mapping.config.rows_per_bank
+        rows_per_bank = machine.memory.mapping.config.rows_per_bank
         victims: list[RowKey] = []
         seen: set[RowKey] = set()
         for aggressor in aggressors:
@@ -49,13 +51,12 @@ class SelectiveRefresher:
                 victims.append(key)
         return victims
 
-    def refresh(self, victims: list[RowKey]) -> int:
+    def refresh(self, machine: Machine, victims: list[RowKey]) -> int:
         """Read one word from each victim row; returns rows refreshed.
 
         The read latency is charged to the machine as overhead, modelling
         the kernel thread performing the reads inline.
         """
-        machine = self.machine
         controller = machine.memory.controller
         for rank, bank, row in victims:
             coord = DramCoord(rank=rank, bank=bank, row=row, col=0)

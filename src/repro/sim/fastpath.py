@@ -8,13 +8,16 @@ replacement-policy state, DRAM/controller statistics, and bit flips — but
 several times faster.  Three mechanisms provide the speedup:
 
 1. **Batched interpretation with hoisted state.**  All per-access state
-   (TLB dict, per-level cache sets, latencies, deferred counters, the
+   (TLB dict, per-level set lists, latencies, deferred counters, the
    next timer deadline) is hoisted into locals once per *batch*, where a
    batch is the run of ops between two "slow events".  Inside a batch
    the interpreter dispatches on op kind with single interned-string
-   compares and walks the cache levels inline — set lookup, replacement
-   update, and fill are direct dict/list operations on the hoisted
-   structures rather than a chain of method calls.
+   compares.  One walk serves every load and store (LOAD, STORE, each
+   half of a PAIR_LOAD and each injected co-runner access): it indexes
+   each level's set inline and makes one ``touch`` call per level (see
+   :mod:`repro.cache.replacement`), discards an LLC victim from the L2
+   and L1 sets directly (inclusion), and takes the DRAM access on an LLC
+   miss.  A CLFLUSH is one ``discard`` per level.
 
 2. **Translation memoisation.**  ``VirtualMemory`` keeps a software TLB
    (page -> pre-shifted frame base); the fast path resolves a virtual
@@ -30,12 +33,12 @@ several times faster.  Three mechanisms provide the speedup:
    defense, armed counter, or the PEBS sampler needs to see the access.
 
 **PAIR_LOAD** runs inline with ``Machine.execute``'s semantics: both
-loads walk the caches (and DRAM on an LLC miss) from the same start
-cycle, load *a* first; the clock advances by the larger latency; one
-``_pair_lcg`` step picks the retirement order; both loads then retire in
-that order, each updating the PMU and offering to the sampler at the
-current clock (a sampled first load's PMI cost lands before the second
-retires); timers fire once, after both.
+loads take the walk from the same start cycle, load *a* first; the clock
+advances by the larger latency; one ``_pair_lcg`` step picks the
+retirement order; both loads then retire in that order, each updating
+the PMU and offering to the sampler at the current clock (a sampled
+first load's PMI cost lands before the second retires); timers fire
+once, after both.
 
 **Co-runner injection.**  ``BackgroundMix`` registers one access hook
 and names it in ``Machine.co_runner``.  While that hook is the only one,
@@ -44,12 +47,12 @@ overflow armed, the engine stays batched and, after each deferred
 LOAD/STORE retire and once per deferred PAIR_LOAD (the pair's second
 retire sees no elapsed time), calls ``co_runner(None, cycles, walk)``
 with an inline walk: a software-TLB lookup (``translate`` on a miss), the
-PAIR_LOAD cache + DRAM walk without the decode memo (co-runner misses
-rarely repeat an address), deferred shared PMU counts, and an offer to
-the aux-core sampler only when it is enabled and due.  The mix keeps the
-injection schedule, so a retire that takes a slow-path excursion (a
-sample, observer, timer or slow op) reaches the same schedule through
-the hook, and both interleave exactly as in ``Machine.run``.  COMPUTE,
+shared walk without the decode memo (co-runner misses rarely repeat an
+address), deferred shared PMU counts, and an offer to the aux-core
+sampler only when it is enabled and due.  The mix keeps the injection
+schedule, so a retire that takes a slow-path excursion (a sample,
+observer, timer or slow op) reaches the same schedule through the hook,
+and both interleave exactly as in ``Machine.run``.  COMPUTE,
 MFENCE and CLFLUSH retire no record and inject nothing.
 
 **Hook stepping.**  While any other access hook or a memory-system
@@ -100,6 +103,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Iterable
 
+from ..cache.replacement import FILLED, HIT
 from ..mem.memory_system import MemoryAccess
 from .ops import CLFLUSH, COMPUTE, LOAD, MFENCE, PAIR_LOAD, Op, STORE
 from .results import RunResult
@@ -145,9 +149,10 @@ def execute_fast(
     lat_miss = hierarchy.miss_latency
     mfence_cycles = hierarchy.config.mfence_cycles
     clflush_cycles = hierarchy.config.clflush_cycles
-    l1_bits, l1_mask, l1_ways = l1._line_bits, l1._set_mask, l1.config.ways
-    l2_bits, l2_mask, l2_ways = l2._line_bits, l2._set_mask, l2.config.ways
-    llc_bits, llc_mask, llc_ways = llc._line_bits, llc._set_mask, llc.config.ways
+    # HierarchyConfig enforces one line size, so a line number indexes
+    # every level.
+    line_bits = l1._line_bits
+    l1_mask, l2_mask, llc_mask = l1._set_mask, l2._set_mask, llc._set_mask
     l1_simple = l1._n_slices == 1
     l2_simple = l2._n_slices == 1
     llc_simple = llc._n_slices == 1
@@ -156,8 +161,6 @@ def execute_fast(
     # and only call set_index (which fills it, handling the cap) on a miss.
     llc_memo_get = llc._index_memo.get
     l1_stats, l2_stats, llc_stats = l1.stats, l2.stats, llc.stats
-    l1_inv_line = l1.invalidate_line
-    l2_inv_line = l2.invalidate_line
     # List identities are stable (add/remove mutate in place), so per-op
     # truthiness checks on these objects stay valid across callbacks.
     hooks = machine._access_hooks
@@ -171,7 +174,7 @@ def execute_fast(
     c_store_miss = pmu._c_store_miss
     decode_memo: dict[int, object] = {}
     decode_memo_get = decode_memo.get
-    # Cache-hit outcomes of a PAIR_LOAD half, as MemoryAccess fields from
+    # Cache-hit outcomes of the walk, as MemoryAccess fields from
     # ``level`` on (shared: a hit allocates nothing).
     hit_l1 = ("L1", lat_l1, False, None, False, 0)
     hit_l2 = ("L2", lat_l2, False, None, False, 0)
@@ -302,79 +305,54 @@ def execute_fast(
             or c_store_miss._next_overflow is not None
         )
 
-    def _pair_half(paddr: int, t0: int, memo: bool = True) -> tuple:
-        """One load of a PAIR_LOAD starting at ``t0``: the inline cache walk
-        and DRAM access of the LOAD arm below (``memo=False`` skips the
-        decode memo).  Returns the MemoryAccess fields from ``level`` on;
-        retirement is the caller's."""
-        nonlocal d1_hit, d1_miss, d1_evict, d2_hit, d2_miss, d2_evict
+    def _walk(paddr: int, t0: int, memo: bool = True) -> tuple:
+        """One load or store at ``paddr`` starting at ``t0`` (stores fill
+        like loads; the controller ignores the kind).  Each level is one
+        ``touch``; an LLC eviction is discarded from the L2 and L1 sets
+        (inclusion), and an LLC miss takes the DRAM access: through the
+        controller while defenses observe it, else the demand path inline
+        (``memo=False`` skips the decode memo).  Returns the MemoryAccess
+        fields from ``level`` on; retirement is the caller's."""
+        nonlocal d1_hit, d1_miss, d1_evict, d1_inval
+        nonlocal d2_hit, d2_miss, d2_evict, d2_inval
         nonlocal d3_hit, d3_miss, d3_evict
         nonlocal d_ctl_acc, d_ctl_lat, d_ctl_blocked
         nonlocal d_dev_acc, d_dev_hit, d_dev_act
-        line = paddr >> l1_bits
-        cset = l1_sets[line & l1_mask] if l1_simple else l1_sets[l1_index(paddr)]
-        way = cset.lookup.get(line)
-        if way is not None:
-            cset.policy.on_hit(way)
+        line = paddr >> line_bits
+        out = (l1_sets[line & l1_mask] if l1_simple else l1_sets[l1_index(paddr)]).touch(line)
+        if out is HIT:
             d1_hit += 1
             return hit_l1
         d1_miss += 1
-        tags = cset.tags
-        if len(cset.lookup) < l1_ways:
-            way = tags.index(None)
-        else:
-            way = cset.policy.victim()
-            del cset.lookup[tags[way]]
+        if out is not FILLED:
             d1_evict += 1
-        tags[way] = line
-        cset.lookup[line] = way
-        cset.policy.on_fill(way)
-        line = paddr >> l2_bits
-        cset = l2_sets[line & l2_mask] if l2_simple else l2_sets[l2_index(paddr)]
-        way = cset.lookup.get(line)
-        if way is not None:
-            cset.policy.on_hit(way)
+        out = (l2_sets[line & l2_mask] if l2_simple else l2_sets[l2_index(paddr)]).touch(line)
+        if out is HIT:
             d2_hit += 1
             return hit_l2
         d2_miss += 1
-        tags = cset.tags
-        if len(cset.lookup) < l2_ways:
-            way = tags.index(None)
-        else:
-            way = cset.policy.victim()
-            del cset.lookup[tags[way]]
+        if out is not FILLED:
             d2_evict += 1
-        tags[way] = line
-        cset.lookup[line] = way
-        cset.policy.on_fill(way)
-        line = paddr >> llc_bits
         if llc_simple:
             cset = llc_sets[line & llc_mask]
         else:
             idx = llc_memo_get(line)
             cset = llc_sets[idx if idx is not None else llc_index(paddr)]
-        way = cset.lookup.get(line)
-        if way is not None:
-            cset.policy.on_hit(way)
+        out = cset.touch(line)
+        if out is HIT:
             d3_hit += 1
             return hit_l3
         d3_miss += 1
-        tags = cset.tags
-        if len(cset.lookup) < llc_ways:
-            way = tags.index(None)
-            tags[way] = line
-            cset.lookup[line] = way
-            cset.policy.on_fill(way)
-        else:
-            way = cset.policy.victim()
-            evicted = tags[way]
-            del cset.lookup[evicted]
+        if out is not FILLED:
             d3_evict += 1
-            tags[way] = line
-            cset.lookup[line] = way
-            cset.policy.on_fill(way)
-            l2_inv_line(evicted)
-            l1_inv_line(evicted)
+            if (
+                l2_sets[out & l2_mask] if l2_simple else l2_sets[l2_index(out << line_bits)]
+            ).discard(out):
+                d2_inval += 1
+            if (
+                l1_sets[out & l1_mask] if l1_simple else l1_sets[l1_index(out << line_bits)]
+            ).discard(out):
+                d1_inval += 1
         t_mem = t0 + lat_miss
         if observers or row_filters:
             _flush()
@@ -420,20 +398,20 @@ def execute_fast(
         nonlocal d_loads, d_stores, d_miss, d_load_miss, d_store_miss
         frame = tlb_get(vaddr >> page_bits)
         paddr = translate(vaddr) if frame is None else frame | (vaddr & offset_mask)
-        half = _pair_half(paddr, t, False)
+        access = _walk(paddr, t, False)
         if is_store:
             d_stores += 1
-            if half[2]:
+            if access[2]:
                 d_miss += 1
                 d_store_miss += 1
         else:
             d_loads += 1
-            if half[2]:
+            if access[2]:
                 d_miss += 1
                 d_load_miss += 1
         # The offer has no side effect before the sampler is due.
         if aux_on and t >= aux_sampler._next_sample_at:
-            aux_sampler.offer(MemoryAccess(vaddr, paddr, is_store, *half), t)
+            aux_sampler.offer(MemoryAccess(vaddr, paddr, is_store, *access), t)
 
     while stopped is None:
         if _must_step():
@@ -515,7 +493,6 @@ def execute_fast(
             kind = op[0]
             slow = None  # fallback reason: run this op through execute()
             if kind == LOAD or kind == STORE:
-                is_store = kind == STORE
                 vaddr = op[1]
                 frame = tlb_get(vaddr >> page_bits)
                 if frame is None:
@@ -523,222 +500,48 @@ def execute_fast(
                 elif not hit_defer:
                     slow = "armed_counter"
                 else:
+                    is_store = kind == STORE
                     paddr = frame | (vaddr & offset_mask)
-                    # ---- inline cache walk (mirrors Cache.access_fill) ----
-                    line = paddr >> l1_bits
-                    cset = (
-                        l1_sets[line & l1_mask]
-                        if l1_simple
-                        else l1_sets[l1_index(paddr)]
-                    )
-                    way = cset.lookup.get(line)
-                    if way is not None:
-                        cset.policy.on_hit(way)
-                        d1_hit += 1
-                        lat, level = lat_l1, "L1"
+                    access = _walk(paddr, cycles)
+                    lat = access[1]
+                    miss = access[2]
+                    cycles += lat
+                    n += 1
+                    if is_store:
+                        stores_n += 1
                     else:
-                        d1_miss += 1
-                        tags = cset.tags
-                        if len(cset.lookup) < l1_ways:
-                            way = tags.index(None)
-                        else:
-                            way = cset.policy.victim()
-                            del cset.lookup[tags[way]]
-                            d1_evict += 1
-                        tags[way] = line
-                        cset.lookup[line] = way
-                        cset.policy.on_fill(way)
-                        line = paddr >> l2_bits
-                        cset = (
-                            l2_sets[line & l2_mask]
-                            if l2_simple
-                            else l2_sets[l2_index(paddr)]
-                        )
-                        way = cset.lookup.get(line)
-                        if way is not None:
-                            cset.policy.on_hit(way)
-                            d2_hit += 1
-                            lat, level = lat_l2, "L2"
-                        else:
-                            d2_miss += 1
-                            tags = cset.tags
-                            if len(cset.lookup) < l2_ways:
-                                way = tags.index(None)
-                            else:
-                                way = cset.policy.victim()
-                                del cset.lookup[tags[way]]
-                                d2_evict += 1
-                            tags[way] = line
-                            cset.lookup[line] = way
-                            cset.policy.on_fill(way)
-                            line = paddr >> llc_bits
-                            if llc_simple:
-                                cset = llc_sets[line & llc_mask]
-                            else:
-                                idx = llc_memo_get(line)
-                                cset = llc_sets[
-                                    idx if idx is not None else llc_index(paddr)
-                                ]
-                            way = cset.lookup.get(line)
-                            if way is not None:
-                                cset.policy.on_hit(way)
-                                d3_hit += 1
-                                lat, level = lat_l3, "L3"
-                            else:
-                                d3_miss += 1
-                                tags = cset.tags
-                                if len(cset.lookup) < llc_ways:
-                                    way = tags.index(None)
-                                    tags[way] = line
-                                    cset.lookup[line] = way
-                                    cset.policy.on_fill(way)
-                                else:
-                                    way = cset.policy.victim()
-                                    evicted = tags[way]
-                                    del cset.lookup[evicted]
-                                    d3_evict += 1
-                                    tags[way] = line
-                                    cset.lookup[line] = way
-                                    cset.policy.on_fill(way)
-                                    # Inclusive LLC: back-invalidate.
-                                    l2_inv_line(evicted)
-                                    l1_inv_line(evicted)
-                                level = ""
-                    if level:
-                        # ---- cache hit: the allocation-free path ----
-                        cycles += lat
-                        n += 1
-                        if is_store:
-                            stores_n += 1
-                        else:
-                            loads_n += 1
-                        if (
-                            next_sample_at <= cycles
-                            and not is_store
-                            and sample_loads
-                            and lat >= sample_lat_min
-                        ):
-                            # Armed sampler and the load passes its
-                            # filters: the offer must really happen (it
-                            # records a sample or burns a tie-break draw).
-                            fallbacks["pebs"] += 1
-                            _flush()
-                            _retire(
-                                MemoryAccess(vaddr, paddr, is_store, level, lat, False)
-                            )
-                            _post_callbacks()
-                            break  # re-hoist (sampler/timer state changed)
-                        if is_store:
-                            d_stores += 1
-                        else:
-                            d_loads += 1
-                    else:
-                        # ---- LLC miss: DRAM access ----
-                        t_mem = cycles + lat_miss
-                        n += 1
+                        loads_n += 1
+                    reason = None
+                    if next_sample_at <= cycles and (
+                        (miss and sample_stores)
+                        if is_store
+                        else (sample_loads and lat >= sample_lat_min)
+                    ):
+                        # Armed sampler and the access passes its filters:
+                        # the offer must really happen (it records a
+                        # sample or burns a tie-break draw).
+                        reason = "pebs"
+                    if miss:
                         dram_n += 1
-                        if is_store:
-                            stores_n += 1
-                        else:
-                            loads_n += 1
-                        if observers or row_filters or not miss_defer:
-                            # Defense-visible access or armed miss counter:
-                            # full controller + PMU retire semantics.
-                            fallbacks[
-                                "observer" if observers or row_filters
-                                else "armed_counter"
-                            ] += 1
-                            _flush()
-                            dram = controller.access(paddr, t_mem, is_store)
-                            total_lat = lat_miss + dram.latency_cycles
-                            cycles += total_lat
-                            machine.cycles = cycles
-                            _retire(
-                                MemoryAccess(
-                                    vaddr,
-                                    paddr,
-                                    is_store,
-                                    "DRAM",
-                                    total_lat,
-                                    True,
-                                    coord=dram.coord,
-                                    activated=dram.activated,
-                                    new_flip_count=dram.new_flip_count,
-                                )
-                            )
-                            _post_callbacks()
-                            break  # re-hoist (callbacks may have run)
-                        # Plain DRAM access: the controller demand path
-                        # inlined (refresh blocking + decode + device).
-                        pos = t_mem % trefi
-                        blocked = trfc - pos if pos < trfc else 0
-                        ent = decode_memo_get(paddr)
-                        if ent is None:
-                            coord = decode(paddr)
-                            if len(decode_memo) >= _DECODE_MEMO_MAX:
-                                decode_memo.clear()
-                            ent = (
-                                coord,
-                                coord.rank * banks_per_rank + coord.bank,
-                            )
-                            decode_memo[paddr] = ent
-                        coord, bank = ent
-                        if open_rows[bank] == coord.row:
-                            # Row-buffer hit: no activation, no disturbance,
-                            # no RowAccess allocation (DramDevice.access's
-                            # hit arm, with its stats deferred).
-                            d_dev_acc += 1
-                            d_dev_hit += 1
-                            dram_lat = hit_cyc + blocked
-                            activated = False
-                            flips_n = 0
-                        else:
-                            # Row-buffer miss: the allocation-free
-                            # activation arm, with accesses/activations/
-                            # per-bank stats deferred like the hit arm.
-                            act_lat, flips_n = dev_miss_fast(
-                                coord, bank, t_mem + blocked
-                            )
-                            dram_lat = act_lat + blocked
-                            activated = True
-                            d_dev_acc += 1
-                            d_dev_act += 1
-                            d_act_bank[bank] = d_act_bank.get(bank, 0) + 1
-                        d_ctl_acc += 1
-                        d_ctl_lat += dram_lat
-                        d_ctl_blocked += blocked
-                        cycles += lat_miss + dram_lat
-                        if next_sample_at <= cycles and (
-                            sample_stores
-                            if is_store
-                            else (
-                                sample_loads
-                                and lat_miss + dram_lat >= sample_lat_min
-                            )
-                        ):
-                            fallbacks["pebs"] += 1
-                            _flush()
-                            _retire(
-                                MemoryAccess(
-                                    vaddr,
-                                    paddr,
-                                    is_store,
-                                    "DRAM",
-                                    lat_miss + dram_lat,
-                                    True,
-                                    coord=coord,
-                                    activated=activated,
-                                    new_flip_count=flips_n,
-                                )
-                            )
-                            _post_callbacks()
-                            break  # re-hoist (sampler state changed)
-                        d_miss += 1
-                        if is_store:
-                            d_stores += 1
+                        if observers or row_filters:
+                            reason = "observer"  # the walk went through them
+                        elif not miss_defer:
+                            reason = "armed_counter"
+                    if reason is not None:
+                        fallbacks[reason] += 1
+                        _flush()
+                        _retire(MemoryAccess(vaddr, paddr, is_store, *access))
+                        _post_callbacks()
+                        break  # re-hoist (sampler/callback state changed)
+                    if is_store:
+                        d_stores += 1
+                        if miss:
+                            d_miss += 1
                             d_store_miss += 1
-                        else:
-                            d_loads += 1
+                    else:
+                        d_loads += 1
+                        if miss:
+                            d_miss += 1
                             d_load_miss += 1
                     if inject is not None:
                         inject(None, cycles, _co_runner_walk)
@@ -754,39 +557,21 @@ def execute_fast(
                     slow = "op_kind"  # raises ClflushRestrictedError
                 else:
                     paddr = frame | (vaddr & offset_mask)
-                    # Inline Cache.invalidate at each level.
-                    line = paddr >> l1_bits
-                    cset = (
-                        l1_sets[line & l1_mask]
-                        if l1_simple
-                        else l1_sets[l1_index(paddr)]
-                    )
-                    way = cset.lookup.pop(line, None)
-                    if way is not None:
-                        cset.tags[way] = None
-                        cset.policy.on_invalidate(way)
+                    line = paddr >> line_bits
+                    if (
+                        l1_sets[line & l1_mask] if l1_simple else l1_sets[l1_index(paddr)]
+                    ).discard(line):
                         d1_inval += 1
-                    line = paddr >> l2_bits
-                    cset = (
-                        l2_sets[line & l2_mask]
-                        if l2_simple
-                        else l2_sets[l2_index(paddr)]
-                    )
-                    way = cset.lookup.pop(line, None)
-                    if way is not None:
-                        cset.tags[way] = None
-                        cset.policy.on_invalidate(way)
+                    if (
+                        l2_sets[line & l2_mask] if l2_simple else l2_sets[l2_index(paddr)]
+                    ).discard(line):
                         d2_inval += 1
-                    line = paddr >> llc_bits
                     if llc_simple:
                         cset = llc_sets[line & llc_mask]
                     else:
                         idx = llc_memo_get(line)
                         cset = llc_sets[idx if idx is not None else llc_index(paddr)]
-                    way = cset.lookup.pop(line, None)
-                    if way is not None:
-                        cset.tags[way] = None
-                        cset.policy.on_invalidate(way)
+                    if cset.discard(line):
                         d3_inval += 1
                     cycles += clflush_cycles
                     clflush_n += 1
@@ -802,18 +587,20 @@ def execute_fast(
                 else:
                     # Both loads start at the same cycle, a first; the
                     # pair costs the larger latency.
-                    half_a = _pair_half(frame_a | (vaddr_a & offset_mask), cycles)
-                    half_b = _pair_half(frame_b | (vaddr_b & offset_mask), cycles)
-                    lat = half_a[1]
-                    if half_b[1] > lat:
-                        lat = half_b[1]
+                    paddr_a = frame_a | (vaddr_a & offset_mask)
+                    paddr_b = frame_b | (vaddr_b & offset_mask)
+                    access_a = _walk(paddr_a, cycles)
+                    access_b = _walk(paddr_b, cycles)
+                    lat = access_a[1]
+                    if access_b[1] > lat:
+                        lat = access_b[1]
                     cycles += lat
                     n += 1
                     loads_n += 2
                     lcg = (machine._pair_lcg * 1103515245 + 12345) & 0x7FFFFFFF
                     machine._pair_lcg = lcg
-                    miss_a = half_a[2]
-                    miss_b = half_b[2]
+                    miss_a = access_a[2]
+                    miss_b = access_b[2]
                     reason = None
                     if next_sample_at <= cycles and sample_loads and lat >= sample_lat_min:
                         reason = "pebs"  # the sampler could take either load
@@ -826,12 +613,8 @@ def execute_fast(
                     if reason is not None:
                         fallbacks[reason] += 1
                         _flush()
-                        rec_a = MemoryAccess(
-                            vaddr_a, frame_a | (vaddr_a & offset_mask), False, *half_a
-                        )
-                        rec_b = MemoryAccess(
-                            vaddr_b, frame_b | (vaddr_b & offset_mask), False, *half_b
-                        )
+                        rec_a = MemoryAccess(vaddr_a, paddr_a, False, *access_a)
+                        rec_b = MemoryAccess(vaddr_b, paddr_b, False, *access_b)
                         if lcg & 0x10000:
                             _retire(rec_b, rec_a)
                         else:

@@ -32,6 +32,7 @@ quarter of its standalone miss rate.
 from __future__ import annotations
 
 import random
+import weakref
 from typing import Callable, Iterator
 
 from ..errors import ConfigError
@@ -62,7 +63,9 @@ class BackgroundMix:
 
     A mix attaches to one machine, once, and a machine carries at most
     one mix (``Machine.co_runner``); :meth:`detach` stops injection for
-    good and may be called repeatedly.
+    good and may be called repeatedly.  The machine holds the mix's hook
+    and timer, so the mix refers back to it only weakly: a dropped
+    machine is freed without waiting for the cyclic garbage collector.
     """
 
     HEAVY_TRIO = ("mcf", "libquantum", "omnetpp")
@@ -81,7 +84,7 @@ class BackgroundMix:
         self.seed = seed
         self.buffer_cap_bytes = buffer_cap_bytes
         self.injected_ops = 0
-        self._machine: Machine | None = None
+        self._machine: weakref.ref[Machine] | None = None
         self._streams: list[Iterator[Op]] = []
         self._ops_per_cycle = 0.0
         self._pending = 0.0
@@ -96,7 +99,7 @@ class BackgroundMix:
             raise ConfigError("this BackgroundMix is already attached")
         if machine.co_runner is not None:
             raise ConfigError("the machine already has a co-runner mix attached")
-        self._machine = machine
+        self._machine = weakref.ref(machine)
         workloads = []
         for i, name in enumerate(self.benchmarks):
             profile = spec_profile(name)
@@ -123,7 +126,7 @@ class BackgroundMix:
 
     def detach(self) -> None:
         """Stop injecting and unregister the hook (idempotent)."""
-        machine = self._machine
+        machine = self._machine() if self._machine is not None else None
         if machine is None or not self._running:
             return
         self._running = False
@@ -189,7 +192,7 @@ class BackgroundMix:
     def _reference_walk(self, vaddr: int, is_store: bool, time_cycles: int) -> None:
         """One co-runner access through the shared memory system, retired
         on the other core."""
-        machine = self._machine
+        machine = self._machine()
         assert machine is not None
         record = machine.memory.access(vaddr, time_cycles, is_store=is_store)
         machine.pmu.on_access_other_core(record, time_cycles)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.attacks import DoubleSidedClflushAttack
@@ -86,6 +89,30 @@ def test_background_alone_is_not_flagged():
     machine.run(stream(), max_cycles=machine.clock.cycles_from_ms(15))
     mix.detach()
     assert anvil.stats.detection_count == 0
+
+
+def test_dropped_machine_is_freed_without_the_cycle_collector():
+    """The machine holds ANVIL's timer callbacks and the mix's hook and
+    timer, and none of them holds the machine strongly, so a dropped
+    machine (with its DRAM and page tables) is freed at once instead of
+    living on until the cyclic collector runs."""
+    gc.collect()
+    gc.disable()
+    try:
+        machine = small_machine(threshold_min=30_000)
+        mix = BackgroundMix(scale=0.15, seed=9, buffer_cap_bytes=4 << 20)
+        mix.attach(machine)
+        anvil = AnvilModule(machine, scaled_config())
+        anvil.install()
+        attack = DoubleSidedClflushAttack(buffer_bytes=8 * MB)
+        attack.run(machine, max_ms=2.5, stop_on_flip=False)
+        assert anvil.stats.stage2_windows >= 1
+        assert mix.injected_ops > 0
+        freed = weakref.ref(machine)
+        del machine, mix, anvil, attack
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 def test_background_mix_attaches_once():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache import Cache, CacheConfig
+from repro.cache import Cache, CacheConfig, HierarchyConfig
 from repro.cache.slicing import slice_of
 from repro.errors import ConfigError
 from repro.units import KB
@@ -42,6 +42,20 @@ def test_config_derived_geometry():
     assert config.sets_per_slice == 64
     assert config.line_bits == 6
     assert config.set_bits == 6
+
+
+@pytest.mark.parametrize(
+    "line_sizes", [(64, 64, 128), (64, 128, 64), (128, 64, 64), (64, 128, 128)]
+)
+def test_hierarchy_config_rejects_mixed_line_sizes(line_sizes):
+    """Back-invalidation hands LLC line numbers to L2 and L1, so every
+    level must share one line size (a chained ``!=`` let 64/64/128 by)."""
+    l1, l2, llc = (
+        CacheConfig(name=name, size_bytes=32 * KB, ways=8, line_bytes=line)
+        for name, line in zip(("L1", "L2", "L3"), line_sizes)
+    )
+    with pytest.raises(ConfigError):
+        HierarchyConfig(l1=l1, l2=l2, llc=llc)
 
 
 # -- basic behaviour --------------------------------------------------------------

@@ -207,3 +207,83 @@ def test_clflush_ban_uninstall():
     base = machine.memory.vm.mmap(8192)
     machine.memory.access(base, 0)
     assert machine.memory.clflush(base, 100) > 0
+
+
+# -- exact defense-grid oracle ------------------------------------------------------------
+#
+# Two cells of the defense grid at the compressed scale of its
+# paper-harness workload (flip threshold 5K units, 16 MB buffer, 1.25 ms
+# to the first flip, ARMOR's threshold and window scaled 6x), seed 1:
+# every AttackResult field, each cache level's counters and the clock.
+# A change to any value means an engine, cache or defense change altered
+# an experiment's outcome, not just its speed.
+
+PINNED_GRID_CELLS = {
+    "none/clflush-free": {
+        "result": {
+            "name": "double-sided-clflush-free",
+            "elapsed_ms": 0.8912453846153846,
+            "iterations": 2510,
+            "total_dram_accesses": 10084,
+            "flips": 1,
+            "time_to_first_flip_ms": 0.8905896153846153,
+            "min_row_accesses": 5017,
+            "ns_per_iteration": 355.07784247624886,
+            "llc_misses": 10084,
+            "details": {"first_flip_row_id": 5332, "first_flip_bit": 43326},
+        },
+        # (hits, misses, evictions, invalidations) of L1, L2 and the LLC
+        "caches": [
+            (0, 115_456, 115_448, 0),
+            (0, 115_456, 115_440, 0),
+            (105_372, 10_084, 10_060, 0),
+        ],
+        "observer_refreshes": 0,
+        "cycles": 2_317_238,
+    },
+    "armor/clflush-free": {
+        "result": {
+            "name": "double-sided-clflush-free",
+            "elapsed_ms": 1.2500003846153844,
+            "iterations": 4242,
+            "total_dram_accesses": 17012,
+            "flips": 0,
+            "time_to_first_flip_ms": None,
+            "min_row_accesses": None,
+            "ns_per_iteration": 294.67241504370213,
+            "llc_misses": 17012,
+            "details": {},
+        },
+        "caches": [
+            (0, 195_130, 195_122, 0),
+            (0, 195_130, 195_114, 0),
+            (178_118, 17_012, 16_988, 0),
+        ],
+        "observer_refreshes": 0,
+        "cycles": 3_250_001,
+    },
+}
+
+
+@pytest.mark.parametrize("cell", list(PINNED_GRID_CELLS))
+def test_defense_grid_cell_pinned(cell):
+    from dataclasses import asdict
+
+    from repro.attacks import ClflushFreeAttack
+
+    machine = small_machine(threshold_min=5_000, seed=1)
+    if cell.startswith("armor/"):
+        Armor(hot_threshold=166, window_ms=64 / 6).install(machine)
+    attack = ClflushFreeAttack(buffer_bytes=BUF, seed=1)
+    attack.prepare(machine)
+    result = attack.run(machine, max_ms=1.25, stop_on_flip=True)
+    hierarchy = machine.memory.hierarchy
+    assert {
+        "result": asdict(result),
+        "caches": [
+            (c.stats.hits, c.stats.misses, c.stats.evictions, c.stats.invalidations)
+            for c in (hierarchy.l1, hierarchy.l2, hierarchy.llc)
+        ],
+        "observer_refreshes": machine.memory.controller.stats.observer_refreshes,
+        "cycles": machine.cycles,
+    } == PINNED_GRID_CELLS[cell]

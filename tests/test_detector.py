@@ -160,37 +160,37 @@ def agg(row, bank=0, rank=0):
 
 
 def test_victims_of_radius_one(machine):
-    refresher = SelectiveRefresher(machine, AnvilConfig.baseline())
-    victims = refresher.victims_of([agg(100)])
+    refresher = SelectiveRefresher(AnvilConfig.baseline())
+    victims = refresher.victims_of(machine, [agg(100)])
     assert victims == [(0, 0, 99), (0, 0, 101)]
 
 
 def test_victims_of_dedup_and_excludes_aggressors(machine):
     """Double-sided: rows 99 and 101 flagged; row 100 (between them) is
     the victim and must appear once; 99/101 are not their own victims."""
-    refresher = SelectiveRefresher(machine, AnvilConfig.baseline())
-    victims = refresher.victims_of([agg(99), agg(101)])
+    refresher = SelectiveRefresher(AnvilConfig.baseline())
+    victims = refresher.victims_of(machine, [agg(99), agg(101)])
     assert victims.count((0, 0, 100)) == 1
     assert (0, 0, 99) not in victims and (0, 0, 101) not in victims
     assert (0, 0, 98) in victims and (0, 0, 102) in victims
 
 
 def test_victims_of_respects_bank_edges(machine):
-    refresher = SelectiveRefresher(machine, AnvilConfig.baseline())
-    victims = refresher.victims_of([agg(0)])
+    refresher = SelectiveRefresher(AnvilConfig.baseline())
+    victims = refresher.victims_of(machine, [agg(0)])
     assert victims == [(0, 0, 1)]
 
 
 def test_victims_of_radius_two(machine):
     config = AnvilConfig(victim_radius=2)
-    refresher = SelectiveRefresher(machine, config)
-    victims = refresher.victims_of([agg(100)])
+    refresher = SelectiveRefresher(config)
+    victims = refresher.victims_of(machine, [agg(100)])
     assert set(victims) == {(0, 0, 98), (0, 0, 99), (0, 0, 101), (0, 0, 102)}
 
 
 def test_refresh_charges_overhead_and_counts(machine):
-    refresher = SelectiveRefresher(machine, AnvilConfig.baseline())
-    refreshed = refresher.refresh([(0, 0, 99), (0, 0, 101)])
+    refresher = SelectiveRefresher(AnvilConfig.baseline())
+    refreshed = refresher.refresh(machine, [(0, 0, 99), (0, 0, 101)])
     assert refreshed == 2
     assert machine.overhead_cycles > 0
     assert machine.memory.controller.stats.selective_refreshes == 2

@@ -57,7 +57,7 @@ def test_detector_stop_mid_stage2(attack_machine):
     machine = attack_machine
     stats = AnvilStats()
     detector = AnvilDetector(machine, scaled_config(), stats)
-    detector.start()
+    detector.start(machine)
     base = machine.memory.vm.mmap(32 * MB)
     counter = [0]
 
@@ -69,7 +69,7 @@ def test_detector_stop_mid_stage2(attack_machine):
     # Run just past the first stage-1 window so stage 2 arms.
     machine.run(stream(), max_cycles=machine.clock.cycles_from_ms(1.5))
     assert machine.pmi_cost_cycles > 0  # stage 2 active
-    detector.stop()
+    detector.stop(machine)
     assert machine.pmi_cost_cycles == 0
     # Pending window timers become no-ops.
     machine.run(stream(), max_cycles=machine.clock.cycles_from_ms(2))

@@ -26,7 +26,7 @@ from repro.units import Clock
 
 @settings(max_examples=40, deadline=None)
 @given(
-    policy=st.sampled_from(["lru", "bit-plru", "nru", "srrip"]),
+    policy=st.sampled_from(["lru", "bit-plru", "nru", "srrip", "tree-plru", "random"]),
     stream=st.lists(st.integers(min_value=0, max_value=15), min_size=1, max_size=120),
 )
 def test_setmodel_agrees_with_real_cache(policy, stream):

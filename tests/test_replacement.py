@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.replacement import (
+    FILLED,
+    HIT,
     BitPlru,
     Nru,
     RandomReplacement,
@@ -57,18 +59,22 @@ def test_zero_ways_rejected():
 
 def test_lru_evicts_least_recently_used():
     lru = TrueLru(4)
-    for way in range(4):
-        lru.on_fill(way)
-    lru.on_hit(0)  # order now: 1, 2, 3, 0
-    assert lru.victim() == 1
+    for tag in range(4):
+        assert lru.touch(tag) is FILLED
+    assert lru.touch(0) is HIT  # order now: 1, 2, 3, 0
+    assert lru.touch(4) == 1
+    assert lru.resident() == [2, 3, 0, 4]
 
 
 def test_lru_invalidate_becomes_preferred_victim():
+    """A discarded line's slot is refilled before anything is evicted."""
     lru = TrueLru(4)
-    for way in range(4):
-        lru.on_fill(way)
-    lru.on_invalidate(3)
-    assert lru.victim() == 3
+    for tag in range(4):
+        lru.touch(tag)
+    assert lru.discard(3)
+    assert not lru.discard(3)
+    assert lru.touch(4) is FILLED
+    assert sorted(lru.resident()) == [0, 1, 2, 4]
 
 
 # -- Bit-PLRU ---------------------------------------------------------------------
@@ -199,6 +205,19 @@ def test_random_reset_restores_stream():
 def test_victim_always_in_range(name, ways_exp, events):
     ways = 2 ** ways_exp
     policy = make_policy(name, ways)
+    if name == "lru":
+        # TrueLru has no ways: its victim is an evicted tag, which must
+        # have been resident, and the set never exceeds its ways.
+        for kind, tag in events:
+            before = policy.resident()
+            if kind == "inv":
+                policy.discard(tag)
+            else:
+                outcome = policy.touch(tag)
+                if outcome is not HIT and outcome is not FILLED:
+                    assert outcome in before
+            assert len(policy.resident()) <= ways
+        return
     for kind, raw_way in events:
         way = raw_way % ways
         if kind == "hit":
@@ -221,5 +240,118 @@ def test_just_touched_way_is_not_victim(name, ways_exp, touched):
     saturation) must not be the immediate victim."""
     ways = 2 ** ways_exp
     policy = make_policy(name, ways)
+    if name == "lru":
+        # Through touch: fill the set, touch one line, then force an
+        # eviction.
+        for tag in range(ways):
+            policy.touch(tag)
+        policy.touch(touched % ways)
+        assert policy.touch(ways) != touched % ways
+        return
     policy.on_fill(touched % ways)
     assert policy.victim() != touched % ways
+
+
+# -- set-level oracle --------------------------------------------------------------------
+#
+# The per-set walk and the stamp-based LRU as they were before each policy
+# object held its set's tags, copied here as the reference every policy's
+# ``touch``/``discard`` must match call for call.
+
+
+class _StampLru:
+    """Former ``TrueLru``: per-way touch stamps, victim = oldest stamp."""
+
+    def __init__(self, ways: int) -> None:
+        self._stamps = list(range(ways))
+        self._clock = ways
+
+    def on_hit(self, way: int) -> None:
+        self._stamps[way] = self._clock
+        self._clock += 1
+
+    def on_fill(self, way: int) -> None:
+        self._stamps[way] = self._clock
+        self._clock += 1
+
+    def victim(self) -> int:
+        stamps = self._stamps
+        return stamps.index(min(stamps))
+
+    def on_invalidate(self, way: int) -> None:
+        self._stamps[way] = -1
+
+
+class _ReferenceSet:
+    """Former ``_CacheSet`` with the ``Cache.access_fill`` and
+    ``Cache.invalidate`` walk over it."""
+
+    def __init__(self, ways: int, policy) -> None:
+        self.tags = [None] * ways
+        self.policy = policy
+        self.lookup = {}  # tag -> way
+
+    def touch(self, tag):
+        lookup = self.lookup
+        way = lookup.get(tag)
+        if way is not None:
+            self.policy.on_hit(way)
+            return HIT
+        tags = self.tags
+        if len(lookup) < len(tags):
+            way = tags.index(None)
+            tags[way] = tag
+            lookup[tag] = way
+            self.policy.on_fill(way)
+            return FILLED
+        way = self.policy.victim()
+        evicted = tags[way]
+        del lookup[evicted]
+        tags[way] = tag
+        lookup[tag] = way
+        self.policy.on_fill(way)
+        return evicted
+
+    def discard(self, tag) -> bool:
+        way = self.lookup.pop(tag, None)
+        if way is None:
+            return False
+        self.tags[way] = None
+        self.policy.on_invalidate(way)
+        return True
+
+
+def reference_set(name: str, ways: int, seed: int) -> _ReferenceSet:
+    # Every other policy kept its per-way hooks: drive a second instance's.
+    hooks = _StampLru(ways) if name == "lru" else make_policy(name, ways, seed=seed)
+    return _ReferenceSet(ways, hooks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    name=st.sampled_from(ALL_POLICIES),
+    ways_exp=st.integers(min_value=0, max_value=3),
+    seed=st.integers(min_value=0, max_value=3),
+    data=st.data(),
+)
+def test_set_matches_reference_walk(name, ways_exp, seed, data):
+    """Random touch/discard streams over up to 3x ways tags (including
+    the tag -1): every return value and the resident set after every
+    step match the reference."""
+    ways = 2 ** ways_exp
+    cache_set = make_policy(name, ways, seed=seed)
+    reference = reference_set(name, ways, seed)
+    tags = st.integers(min_value=-1, max_value=3 * ways - 2)
+    steps = data.draw(
+        st.lists(st.tuples(st.sampled_from(["touch"] * 3 + ["discard"]), tags),
+                 max_size=80)
+    )
+    for kind, tag in steps:
+        if kind == "touch":
+            got, want = cache_set.touch(tag), reference.touch(tag)
+        else:
+            got, want = cache_set.discard(tag), reference.discard(tag)
+        assert got == want
+        resident = [t for t in reference.tags if t is not None]
+        assert sorted(cache_set.resident()) == sorted(resident)
+        assert all((t in cache_set) == (t in reference.lookup) for t in range(-1, 3 * ways))
