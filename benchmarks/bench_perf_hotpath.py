@@ -1,6 +1,6 @@
 """Hot-path engine microbenchmark: ``Machine.run`` vs ``Machine.run_fast``.
 
-Measures simulated-ops/sec on six workload shapes and proves, on every
+Measures simulated-ops/sec on seven workload shapes and proves, on every
 measured run, that the fast path is *bit-for-bit equivalent* to the
 reference interpreter (identical :class:`RunResult`, final clock, PMU
 counters, and cache/controller/device statistics on twin machines fed the
@@ -28,6 +28,11 @@ same op stream):
   fast path walks inline.  Gated at >= 1.3x; the co-runners' own op
   generators and the shared cache-miss model take most of the time on
   both engines.  Its equivalence probe includes the injected-op count.
+- **hammer_para**: hammer_same_bank under the PARA controller defense
+  (``Para(probability=0.002)``, paper Section 5.2.2): every activation
+  calls PARA's observer, and about one in 500 refreshes the activated
+  row's two neighbours.  The fast path runs the defense inside its
+  batch.  Gated at >= 1.8x.
 
 Results are published under ``benchmarks/results/perf_hotpath.{txt,json}``
 and the machine-readable summary is also written to ``BENCH_hotpath.json``
@@ -60,6 +65,7 @@ if str(REPO_ROOT / "benchmarks") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
 from repro.attacks import ClflushFreeAttack
+from repro.defenses import Para
 from repro.dram.mapping import DramCoord
 from repro.presets import small_machine
 from repro.sim.ops import CLFLUSH, COMPUTE, LOAD, STORE
@@ -71,12 +77,14 @@ from _common import publish
 #: Required run_fast/run speedups per gated workload.  hammer_same_bank
 #: exercises the row-conflict + disturbance path, made allocation-free by
 #: DramDevice.access_miss_fast; clflush_free the inline PAIR_LOAD arm;
-#: hammer_background the inline co-runner injection.
+#: hammer_background the inline co-runner injection; hammer_para the
+#: inline controller defense.
 GATES = {
     "hammer": 3.0,
     "hammer_same_bank": 2.5,
     "clflush_free": 1.5,
     "hammer_background": 1.3,
+    "hammer_para": 1.8,
 }
 PAGE = 4096
 
@@ -137,6 +145,12 @@ def clflush_free_ops(machine, n):
     return list(itertools.islice(attack.ops(), n))
 
 
+def hammer_para_ops(machine, n):
+    """hammer_same_bank with PARA installed in the memory controller."""
+    Para(probability=0.002).install(machine)
+    return hammer_ops(machine, n, same_bank=True)
+
+
 WORKLOADS = {
     "hammer": lambda m, n: hammer_ops(m, n),
     "hammer_same_bank": lambda m, n: hammer_ops(m, n, same_bank=True),
@@ -144,6 +158,7 @@ WORKLOADS = {
     "mixed": mixed_ops,
     "clflush_free": clflush_free_ops,
     "hammer_background": lambda m, n: hammer_ops(m, n, same_bank=True),
+    "hammer_para": hammer_para_ops,
 }
 
 #: Workloads run with the heavy-load co-runners attached: the mix seed.
@@ -178,9 +193,10 @@ def state_snapshot(machine):
         ],
         "controller": (controller.stats.accesses,
                        controller.stats.total_latency_cycles,
-                       controller.stats.blocked_cycles),
+                       controller.stats.blocked_cycles,
+                       controller.stats.observer_refreshes),
         "device": (device.stats.accesses, device.stats.row_hits,
-                   device.stats.activations),
+                   device.stats.activations, device.stats.refreshes_issued),
         "open_rows": list(device._open_rows),
         "flips": machine.memory.flip_count(),
     }

@@ -25,7 +25,14 @@ from .mapping import DramCoord
 
 
 class ActivationObserver(Protocol):
-    """Controller-level defense hook (PARA, TRR...)."""
+    """Controller-level defense hook (PARA, TRR...).
+
+    Contract: the fast engine calls it inline, in the middle of a batch,
+    while the machine clock, the PMU counts and the cache, controller and
+    device statistics may still be deferred.  So an observer reads only
+    its arguments and its own state, acts only through the rows it
+    returns, and registers no hook, observer or timer.
+    """
 
     def on_activation(self, coord: DramCoord, time_cycles: int) -> Iterable[DramCoord]:
         """Called on every row activation.  Returns rows the controller
@@ -35,7 +42,12 @@ class ActivationObserver(Protocol):
 
 class RowFilter(Protocol):
     """A defense that can serve accesses without touching the array
-    (ARMOR's hot-row buffer)."""
+    (ARMOR's hot-row buffer).
+
+    Same contract as :class:`ActivationObserver`: called inline while the
+    clock, PMU counts and statistics may be deferred, it reads only its
+    arguments and its own state and registers no hook, observer or timer.
+    """
 
     def absorbs(self, coord: DramCoord, time_cycles: int) -> bool:
         """True if this access is served by the defense's buffer: the row
@@ -69,12 +81,16 @@ class MemoryController:
 
     def __init__(self, config: DramConfig | None = None, clock: Clock | None = None):
         self.clock = clock or Clock()
+        self._build(config)
+        self._observers: list[ActivationObserver] = []
+        self._row_filters: list[RowFilter] = []
+
+    def _build(self, config: DramConfig | None) -> None:
+        """A fresh device (with its mapping and config) and statistics."""
         self.device = DramDevice(config, self.clock)
         self.mapping = self.device.mapping
         self.config = self.device.config
         self.stats = ControllerStats()
-        self._observers: list[ActivationObserver] = []
-        self._row_filters: list[RowFilter] = []
 
     def add_observer(self, observer: ActivationObserver) -> None:
         """Register a controller-level defense."""
@@ -162,9 +178,9 @@ class MemoryController:
     def set_timings(self, timings) -> None:
         """Swap in new timing parameters (refresh-rate defenses).
 
-        Must be called before any accesses are simulated.
+        Must be called before any accesses are simulated.  Rebuilds the
+        device; registered observers and row filters stay registered.
         """
         if self.stats.accesses:
             raise RuntimeError("cannot retime a controller that has run traffic")
-        new_config = self.config.with_timings(timings)
-        self.__init__(new_config, self.clock)  # rebuild device cleanly
+        self._build(self.config.with_timings(timings))

@@ -16,8 +16,8 @@ several times faster.  Three mechanisms provide the speedup:
    half of a PAIR_LOAD and each injected co-runner access): it indexes
    each level's set inline and makes one ``touch`` call per level (see
    :mod:`repro.cache.replacement`), discards an LLC victim from the L2
-   and L1 sets directly (inclusion), and takes the DRAM access on an LLC
-   miss.  A CLFLUSH is one ``discard`` per level.
+   and L1 sets directly (inclusion), and takes the DRAM access, defenses
+   included, on an LLC miss.  A CLFLUSH is one ``discard`` per level.
 
 2. **Translation memoisation.**  ``VirtualMemory`` keeps a software TLB
    (page -> pre-shifted frame base); the fast path resolves a virtual
@@ -25,12 +25,12 @@ several times faster.  Three mechanisms provide the speedup:
    memoised the same way (physical address -> ``DramCoord``; coords are
    immutable named tuples, so sharing them is safe).
 
-3. **An allocation-free access loop.**  Cache hits and plain DRAM
-   accesses construct no ``MemoryAccess``/``HierarchyResult`` records;
-   PMU event counts and cache hit/miss/eviction statistics accumulate in
-   plain local ints and are flushed to the real counter objects before
-   anything could observe them.  A record only materialises when a
-   defense, armed counter, or the PEBS sampler needs to see the access.
+3. **An allocation-free access loop.**  Cache hits and DRAM accesses,
+   defended or not, construct no ``MemoryAccess``/``HierarchyResult``
+   records; PMU event counts and cache, controller and device statistics
+   accumulate in plain local ints and are flushed before anything could
+   observe them.  A record only materialises when an armed counter or
+   the PEBS sampler needs to see the access.
 
 **PAIR_LOAD** runs inline with ``Machine.execute``'s semantics: both
 loads take the walk from the same start cycle, load *a* first; the clock
@@ -51,9 +51,9 @@ shared walk without the decode memo (co-runner misses rarely repeat an
 address), deferred shared PMU counts, and an offer to the aux-core
 sampler only when it is enabled and due.  The mix keeps the injection
 schedule, so a retire that takes a slow-path excursion (a sample,
-observer, timer or slow op) reaches the same schedule through the hook,
-and both interleave exactly as in ``Machine.run``.  COMPUTE,
-MFENCE and CLFLUSH retire no record and inject nothing.
+timer or slow op) reaches the same schedule through the hook, and both
+interleave exactly as in ``Machine.run``.  COMPUTE, MFENCE and CLFLUSH
+retire no record and inject nothing.
 
 **Hook stepping.**  While any other access hook or a memory-system
 listener is registered, or co-runners run beside an armed access
@@ -73,9 +73,11 @@ re-hoists its locals and opens a new batch):
 - the PEBS sampler is armed and the access passes its filters (the
   sample — or the sampler's tie-breaking RNG draw — must happen exactly
   as on the slow path);
-- the access reaches DRAM while controller observers or row filters are
-  registered (PARA/TRR/ARMOR defenses see every activation);
 - a timer deadline is reached or the ``until`` predicate is due.
+
+Controller defenses (PARA/TRR/ARMOR) run inside the batch: they see only
+``(coord, time_cycles)``, and their victim refreshes bump device
+statistics directly while the batch defers its own (both are additive).
 
 Each fallback, and each hook-stepped op, is counted by reason in
 ``Machine.fast_fallbacks`` (telemetry only: it is not part of any
@@ -167,6 +169,7 @@ def execute_fast(
     listeners = memory._listeners
     observers = controller._observers
     row_filters = controller._row_filters
+    run_observers = controller._run_observers
     c_loads = pmu._c_loads
     c_stores = pmu._c_stores
     c_miss = pmu._c_miss
@@ -309,10 +312,11 @@ def execute_fast(
         """One load or store at ``paddr`` starting at ``t0`` (stores fill
         like loads; the controller ignores the kind).  Each level is one
         ``touch``; an LLC eviction is discarded from the L2 and L1 sets
-        (inclusion), and an LLC miss takes the DRAM access: through the
-        controller while defenses observe it, else the demand path inline
-        (``memo=False`` skips the decode memo).  Returns the MemoryAccess
-        fields from ``level`` on; retirement is the caller's."""
+        (inclusion), and an LLC miss takes ``MemoryController.access``
+        inline: refresh blocking, the decode (``memo=False`` skips its
+        memo), the row filters, then the open-row check or an activation
+        and the observers.  Returns the MemoryAccess fields from ``level``
+        on; retirement is the caller's."""
         nonlocal d1_hit, d1_miss, d1_evict, d1_inval
         nonlocal d2_hit, d2_miss, d2_evict, d2_inval
         nonlocal d3_hit, d3_miss, d3_evict
@@ -354,13 +358,6 @@ def execute_fast(
             ).discard(out):
                 d1_inval += 1
         t_mem = t0 + lat_miss
-        if observers or row_filters:
-            _flush()
-            dram = controller.access(paddr, t_mem, False)
-            return (
-                "DRAM", lat_miss + dram.latency_cycles, True,
-                dram.coord, dram.activated, dram.new_flip_count,
-            )
         pos = t_mem % trefi
         blocked = trfc - pos if pos < trfc else 0
         if memo:
@@ -375,6 +372,13 @@ def execute_fast(
         else:
             coord = decode(paddr)
             bank = coord.rank * banks_per_rank + coord.bank
+        d_ctl_acc += 1
+        t_mem += blocked
+        for row_filter in row_filters:
+            if row_filter.absorbs(coord, t_mem):
+                # Served from a defense's buffer: no device access, no blocking.
+                d_ctl_lat += hit_cyc
+                return ("DRAM", lat_miss + hit_cyc, True, coord, False, 0)
         d_dev_acc += 1
         if open_rows[bank] == coord.row:
             d_dev_hit += 1
@@ -382,12 +386,13 @@ def execute_fast(
             activated = False
             flips_n = 0
         else:
-            act_lat, flips_n = dev_miss_fast(coord, bank, t_mem + blocked)
+            act_lat, flips_n = dev_miss_fast(coord, bank, t_mem)
             dram_lat = act_lat + blocked
             activated = True
             d_dev_act += 1
             d_act_bank[bank] = d_act_bank.get(bank, 0) + 1
-        d_ctl_acc += 1
+            if observers:
+                run_observers(coord, t_mem)
         d_ctl_lat += dram_lat
         d_ctl_blocked += blocked
         return ("DRAM", lat_miss + dram_lat, True, coord, activated, flips_n)
@@ -523,9 +528,7 @@ def execute_fast(
                         reason = "pebs"
                     if miss:
                         dram_n += 1
-                        if observers or row_filters:
-                            reason = "observer"  # the walk went through them
-                        elif not miss_defer:
+                        if not miss_defer:
                             reason = "armed_counter"
                     if reason is not None:
                         fallbacks[reason] += 1
@@ -606,9 +609,7 @@ def execute_fast(
                         reason = "pebs"  # the sampler could take either load
                     if miss_a or miss_b:
                         dram_n += miss_a + miss_b
-                        if observers or row_filters:
-                            reason = "observer"
-                        elif not miss_defer:
+                        if not miss_defer:
                             reason = "armed_counter"
                     if reason is not None:
                         fallbacks[reason] += 1

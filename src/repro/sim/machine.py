@@ -74,7 +74,8 @@ class Machine:
         self.co_runner: Callable[..., None] | None = None
         #: Fast-path fallbacks by reason (see :mod:`repro.sim.fastpath`):
         #: ``op_kind``, ``tlb_fill``, ``hook`` (one per stepped op),
-        #: ``armed_counter``, ``pebs``, ``observer``, ``timer``, ``until``.
+        #: ``armed_counter``, ``pebs``, ``timer``, ``until``.  Controller
+        #: defenses (PARA/TRR/ARMOR) run inline and cause none.
         #: Engine telemetry only: no RunResult or cache key includes it.
         self.fast_fallbacks: Counter[str] = Counter()
 

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.attacks import DoubleSidedClflushAttack
+from dataclasses import asdict
+
+from repro.attacks import ClflushFreeAttack, DoubleSidedClflushAttack
 from repro.defenses import (
     Armor,
     ClflushBan,
@@ -163,6 +165,28 @@ def test_double_refresh_defense_object():
     assert machine.memory.controller.config.timings.retention_ms == 32.0
 
 
+@pytest.mark.parametrize(
+    "make_defense",
+    [lambda: Para(probability=1.0), lambda: TargetedRowRefresh(activation_threshold=1)],
+    ids=["para", "trr"],
+)
+def test_refresh_scaling_keeps_controller_defenses(make_defense):
+    """Retiming rebuilds the DRAM device but must not unregister a
+    defense installed before it."""
+    machine = small_machine()
+    controller = machine.memory.controller
+    observers = controller._observers  # the fast engine holds this list
+    defense = make_defense()
+    defense.install(machine)
+    DoubleRefresh().install(machine)
+    assert controller.config.timings.retention_ms == 32.0
+    assert controller._observers is observers
+    assert observers == [defense]
+    controller.access(machine.memory.mapping.address_in_row(0, 0, 5), 20_000)
+    assert controller.stats.observer_refreshes == 2  # rows 4 and 6
+    assert controller.device.stats.refreshes_issued == 2
+
+
 def test_double_refresh_insufficient_against_fast_attack():
     machine, result = attack_under(DoubleRefresh(), max_ms=40)
     assert result.flipped  # Section 2.1's headline
@@ -211,12 +235,21 @@ def test_clflush_ban_uninstall():
 
 # -- exact defense-grid oracle ------------------------------------------------------------
 #
-# Two cells of the defense grid at the compressed scale of its
-# paper-harness workload (flip threshold 5K units, 16 MB buffer, 1.25 ms
-# to the first flip, ARMOR's threshold and window scaled 6x), seed 1:
-# every AttackResult field, each cache level's counters and the clock.
-# A change to any value means an engine, cache or defense change altered
-# an experiment's outcome, not just its speed.
+# Cells of the defense grid at the compressed scale of its paper-harness
+# workload (flip threshold 5K units, 16 MB buffer, 1.25 ms to the first
+# flip, PARA's probability and TRR's and ARMOR's threshold and window
+# scaled 6x), seed 1: every AttackResult field, each cache level's
+# counters, the controller's observer refreshes and the clock.  A change
+# to any value means an engine, cache or defense change altered an
+# experiment's outcome, not just its speed.
+
+GRID_DEFENSES = {
+    "none": lambda: None,
+    "para": lambda: Para(probability=0.002 * 6),
+    "trr": lambda: TargetedRowRefresh(activation_threshold=1_000 // 6, window_ms=64 / 6),
+    "armor": lambda: Armor(hot_threshold=1_000 // 6, window_ms=64 / 6),
+}
+GRID_ATTACKS = {"clflush": DoubleSidedClflushAttack, "clflush-free": ClflushFreeAttack}
 
 PINNED_GRID_CELLS = {
     "none/clflush-free": {
@@ -262,23 +295,126 @@ PINNED_GRID_CELLS = {
         "observer_refreshes": 0,
         "cycles": 3_250_001,
     },
+    "para/clflush": {
+        "result": {
+            "name": "double-sided-clflush",
+            "elapsed_ms": 1.250038076923077,
+            "iterations": 8332,
+            "total_dram_accesses": 16_664,
+            "flips": 0,
+            "time_to_first_flip_ms": None,
+            "min_row_accesses": None,
+            "ns_per_iteration": 150.02857380257765,
+            "llc_misses": 16_664,
+            "details": {},
+        },
+        "caches": [
+            (0, 16_664, 0, 16_662),
+            (0, 16_664, 0, 16_662),
+            (0, 16_664, 0, 16_662),
+        ],
+        "observer_refreshes": 356,
+        "cycles": 3_250_099,
+    },
+    "trr/clflush": {
+        "result": {
+            "name": "double-sided-clflush",
+            "elapsed_ms": 1.250038076923077,
+            "iterations": 8332,
+            "total_dram_accesses": 16_664,
+            "flips": 0,
+            "time_to_first_flip_ms": None,
+            "min_row_accesses": None,
+            "ns_per_iteration": 150.02857380257765,
+            "llc_misses": 16_664,
+            "details": {},
+        },
+        "caches": [
+            (0, 16_664, 0, 16_662),
+            (0, 16_664, 0, 16_662),
+            (0, 16_664, 0, 16_662),
+        ],
+        "observer_refreshes": 200,
+        "cycles": 3_250_099,
+    },
+    "armor/clflush": {
+        "result": {
+            "name": "double-sided-clflush",
+            "elapsed_ms": 1.25002,
+            "iterations": 13_776,
+            "total_dram_accesses": 27_551,
+            "flips": 0,
+            "time_to_first_flip_ms": None,
+            "min_row_accesses": None,
+            "ns_per_iteration": 90.73896631823462,
+            "llc_misses": 27_551,
+            "details": {},
+        },
+        "caches": [
+            (0, 27_551, 0, 27_550),
+            (0, 27_551, 0, 27_550),
+            (0, 27_551, 0, 27_550),
+        ],
+        "observer_refreshes": 0,
+        "cycles": 3_250_052,
+    },
+    "para/clflush-free": {
+        "result": {
+            "name": "double-sided-clflush-free",
+            "elapsed_ms": 1.2500007692307693,
+            "iterations": 3522,
+            "total_dram_accesses": 14_132,
+            "flips": 0,
+            "time_to_first_flip_ms": None,
+            "min_row_accesses": None,
+            "ns_per_iteration": 354.91220023588,
+            "llc_misses": 14_132,
+            "details": {},
+        },
+        "caches": [
+            (0, 162_000, 161_992, 0),
+            (0, 162_000, 161_984, 0),
+            (147_868, 14_132, 14_108, 0),
+        ],
+        "observer_refreshes": 302,
+        "cycles": 3_250_002,
+    },
+    "trr/clflush-free": {
+        "result": {
+            "name": "double-sided-clflush-free",
+            "elapsed_ms": 1.2500007692307693,
+            "iterations": 3522,
+            "total_dram_accesses": 14_132,
+            "flips": 0,
+            "time_to_first_flip_ms": None,
+            "min_row_accesses": None,
+            "ns_per_iteration": 354.91220023588,
+            "llc_misses": 14_132,
+            "details": {},
+        },
+        "caches": [
+            (0, 162_000, 161_992, 0),
+            (0, 162_000, 161_984, 0),
+            (147_868, 14_132, 14_108, 0),
+        ],
+        "observer_refreshes": 168,
+        "cycles": 3_250_002,
+    },
 }
 
 
-@pytest.mark.parametrize("cell", list(PINNED_GRID_CELLS))
-def test_defense_grid_cell_pinned(cell):
-    from dataclasses import asdict
-
-    from repro.attacks import ClflushFreeAttack
-
+def grid_cell_outcome(cell: str) -> dict:
+    """Run the ``defense/attack`` cell and return what the oracle pins."""
+    defense_name, attack_name = cell.split("/")
     machine = small_machine(threshold_min=5_000, seed=1)
-    if cell.startswith("armor/"):
-        Armor(hot_threshold=166, window_ms=64 / 6).install(machine)
-    attack = ClflushFreeAttack(buffer_bytes=BUF, seed=1)
+    defense = GRID_DEFENSES[defense_name]()
+    if defense is not None:
+        defense.install(machine)
+    attack = GRID_ATTACKS[attack_name](buffer_bytes=BUF, seed=1)
     attack.prepare(machine)
     result = attack.run(machine, max_ms=1.25, stop_on_flip=True)
     hierarchy = machine.memory.hierarchy
-    assert {
+    return {
         "result": asdict(result),
         "caches": [
             (c.stats.hits, c.stats.misses, c.stats.evictions, c.stats.invalidations)
@@ -286,4 +422,9 @@ def test_defense_grid_cell_pinned(cell):
         ],
         "observer_refreshes": machine.memory.controller.stats.observer_refreshes,
         "cycles": machine.cycles,
-    } == PINNED_GRID_CELLS[cell]
+    }
+
+
+@pytest.mark.parametrize("cell", list(PINNED_GRID_CELLS))
+def test_defense_grid_cell_pinned(cell):
+    assert grid_cell_outcome(cell) == PINNED_GRID_CELLS[cell]

@@ -14,10 +14,11 @@ stop-condition and TLB-remap corners, plus workload-generator streams and
 the hook-driven slow path (a bare access hook), plus the ``BackgroundMix``
 co-runner injector that the heavy-load experiments attach (inline on the
 fast engine; hook-stepped beside a second hook, a memory listener or an
-armed miss counter; through PARA's observer), plus the CLFLUSH-free
-attack's ``PAIR_LOAD`` stream alone, under ANVIL, under the PARA and
-ARMOR controller defenses, and with co-runners attached or detached
-mid-run.
+armed miss counter; beside PARA), plus the CLFLUSH-free attack's
+``PAIR_LOAD`` stream alone, under ANVIL, and with co-runners attached or
+detached mid-run, plus the PARA, TRR and ARMOR controller defenses on the
+LOAD/STORE hammer, the ``PAIR_LOAD`` stream and a random stream, which
+the fast engine runs inline without leaving its batches.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from repro.attacks import ClflushFreeAttack
 from repro.cache.cache import Cache
 from repro.core import AnvilConfig
 from repro.core.anvil import AnvilModule
-from repro.defenses import Armor, Para
+from repro.defenses import Armor, Para, TargetedRowRefresh
 from repro.dram.mapping import DramCoord
 from repro.pmu import Event
 from repro.presets import small_machine
@@ -126,6 +127,11 @@ def state_snapshot(machine, mix=None) -> dict:
         "open_rows": list(device._open_rows),
         "flips": machine.memory.flip_count(),
         "pair_lcg": machine._pair_lcg,
+        # PARA/TRR trigger counts and ARMOR's absorbed accesses.
+        "defenses": [
+            (type(d).__name__, getattr(d, "triggered", None), getattr(d, "absorbed", None))
+            for d in controller._observers
+        ],
     }
     if mix is not None:
         snapshot["mix"] = (mix.injected_ops, mix._pending, mix._last_cycles)
@@ -417,7 +423,7 @@ ENGINE_ROWS = {
         {"background": True},
     ),
     # The foreground stays in L1, so PARA's observer sees mostly injected
-    # DRAM accesses, each an excursion of the inline co-runner walk.
+    # DRAM accesses, each run inside the inline co-runner walk.
     "cache-resident-background-para": (
         with_setup(lambda m: Para(probability=0.05).install(m),
                    cache_resident_ops),
@@ -443,9 +449,45 @@ ENGINE_ROWS = {
         clflush_free_ops(lambda: Para(probability=0.01)),
         {"threshold_min": 2_000, "max_cycles": 2_000_000},
     ),
+    "clflush-free-trr": (
+        clflush_free_ops(lambda: TargetedRowRefresh(activation_threshold=500)),
+        {"threshold_min": 2_000, "max_cycles": 2_000_000},
+    ),
     "clflush-free-armor": (
         clflush_free_ops(lambda: Armor(hot_threshold=500)),
         {"threshold_min": 2_000, "max_cycles": 2_000_000},
+    ),
+    # The controller defenses on the LOAD/STORE arm.
+    "hammer-para": (
+        with_setup(lambda m: Para(probability=0.01).install(m),
+                   lambda m: hammer_ops(m, 40_000)),
+        {"threshold_min": 2_000},
+    ),
+    "hammer-trr": (
+        with_setup(lambda m: TargetedRowRefresh(activation_threshold=500).install(m),
+                   lambda m: hammer_ops(m, 40_000)),
+        {"threshold_min": 2_000},
+    ),
+    "hammer-armor": (
+        with_setup(lambda m: Armor(hot_threshold=500).install(m),
+                   lambda m: hammer_ops(m, 40_000)),
+        {"threshold_min": 2_000},
+    ),
+    # The 40K-op hammer takes ~3.6M cycles: the timer installs PARA
+    # halfway, into the list the running batch already checks.
+    "hammer-para-timer": (
+        with_setup(
+            lambda m: m.schedule_in(1_800_000, Para(probability=0.01).install),
+            lambda m: hammer_ops(m, 40_000),
+        ),
+        {"threshold_min": 2_000},
+    ),
+    # STOREs, PAIR_LOADs and the refetches CLFLUSHes cause reach DRAM
+    # under a row filter.
+    "random-armor": (
+        with_setup(lambda m: Armor(hot_threshold=8).install(m),
+                   lambda m: random_ops(13, 8_000)),
+        {"map_pages": 32},
     ),
     "clflush-free-background": (
         clflush_free_ops(), {"background": True, "max_cycles": 2_000_000},
@@ -469,9 +511,24 @@ ROW_PATHS = {
     # timer armed the counter, then stepped.
     "hammer-background-armed-counter": ("timer", "hook"),
     "clflush-free-anvil": ("pebs",),
-    "clflush-free-para": ("observer",),
-    "clflush-free-armor": ("observer",),
     "clflush-free-background-detach": ("timer",),
+    "hammer-para-timer": ("timer",),
+}
+
+#: Rows under a PARA, TRR or ARMOR controller defense: the fast engine
+#: runs the defense inline, leaving its batches only on a first touch of
+#: a page, a timer or the ``until`` predicate, and the defense must have
+#: acted (refreshed a victim, or absorbed an access).
+DEFENSE_ROWS = {
+    "hammer-para",
+    "hammer-trr",
+    "hammer-armor",
+    "hammer-para-timer",
+    "random-armor",
+    "cache-resident-background-para",
+    "clflush-free-para",
+    "clflush-free-trr",
+    "clflush-free-armor",
 }
 
 #: Co-runner rows the fast engine must run batched, injecting inline: no
@@ -506,8 +563,10 @@ def test_engine_rows_equivalent(row):
         assert state["mix"][0] > 0  # injected_ops
     if row in AUX_SAMPLE_ROWS:
         assert state["aux_samples"][0] > 0
-    if row == "cache-resident-background-para":
-        assert state["controller"][3] > 0  # observer_refreshes
+    if row in DEFENSE_ROWS:
+        assert set(+fallbacks) <= {"tlb_fill", "timer", "until"}, fallbacks
+        absorbed = sum(entry[2] or 0 for entry in state["defenses"])
+        assert state["controller"][3] > 0 or absorbed > 0  # observer_refreshes
     if row in FLIP_ROWS:
         assert outcomes[0][0][8] > 0  # new_flips
 
