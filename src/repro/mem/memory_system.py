@@ -21,7 +21,7 @@ experiments: whether CLFLUSH is permitted (sandbox mitigation) and whether
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 from ..cache import CacheHierarchy, HierarchyConfig
 from ..dram import DramConfig, DramCoord, MemoryController
@@ -59,11 +59,8 @@ class MemoryAccess:
     new_flip_count: int = 0
 
 
-Listener = Callable[[MemoryAccess], None]
-
-
 class MemorySystem:
-    """Caches + controller + virtual memory, with access listeners."""
+    """Caches + controller + virtual memory."""
 
     def __init__(self, config: MemorySystemConfig | None = None, clock: Clock | None = None):
         self.config = config or MemorySystemConfig()
@@ -83,7 +80,6 @@ class MemorySystem:
         )
         self.pagemap = Pagemap(self.vm, restricted=self.config.pagemap_restricted)
         self.clflush_allowed = self.config.clflush_allowed
-        self._listeners: list[Listener] = []
         # The VM object is permanent; bind its translate once so the
         # per-access path skips two attribute loads.
         self._translate = self.vm.translate
@@ -95,13 +91,6 @@ class MemorySystem:
     @property
     def device(self):
         return self.controller.device
-
-    def add_listener(self, listener: Listener) -> None:
-        """Register a callback invoked with every :class:`MemoryAccess`."""
-        self._listeners.append(listener)
-
-    def remove_listener(self, listener: Listener) -> None:
-        self._listeners.remove(listener)
 
     # -- the timed access path ----------------------------------------------------
 
@@ -118,7 +107,7 @@ class MemorySystem:
         result = self.hierarchy.access(paddr, is_store)
         if result.llc_miss:
             dram = self.controller.access(paddr, time_cycles + result.latency_cycles, is_store)
-            record = MemoryAccess(
+            return MemoryAccess(
                 vaddr=vaddr if vaddr is not None else paddr,
                 paddr=paddr,
                 is_store=is_store,
@@ -129,18 +118,14 @@ class MemorySystem:
                 activated=dram.activated,
                 new_flip_count=dram.new_flip_count,
             )
-        else:
-            record = MemoryAccess(
-                vaddr=vaddr if vaddr is not None else paddr,
-                paddr=paddr,
-                is_store=is_store,
-                level=result.level,
-                latency_cycles=result.latency_cycles,
-                llc_miss=False,
-            )
-        for listener in self._listeners:
-            listener(record)
-        return record
+        return MemoryAccess(
+            vaddr=vaddr if vaddr is not None else paddr,
+            paddr=paddr,
+            is_store=is_store,
+            level=result.level,
+            latency_cycles=result.latency_cycles,
+            llc_miss=False,
+        )
 
     def clflush(self, vaddr: int, time_cycles: int) -> int:
         """Flush one line from all cache levels; returns instruction cost.

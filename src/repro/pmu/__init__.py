@@ -2,8 +2,8 @@
 
 Models the Intel PMU facilities ANVIL programs (paper Section 3.3):
 
-- ``LONGEST_LAT_CACHE.MISS`` — LLC miss counting with an overflow
-  interrupt after N events;
+- ``LONGEST_LAT_CACHE.MISS`` — LLC miss counting, read by ANVIL at the
+  end of each tc window;
 - ``MEM_TRANS_RETIRED.LOAD_LATENCY`` — PEBS load-latency sampling: loads
   whose latency exceeds a programmable threshold are sampled with their
   virtual address and data source;
@@ -13,7 +13,7 @@ Models the Intel PMU facilities ANVIL programs (paper Section 3.3):
 """
 
 from .events import Event
-from .counters import Counter, OverflowInterrupt
+from .counters import Counter
 from .pebs import DataSource, PebsRecord, PebsSampler, SamplerConfig
 from .pmu import Pmu
 
@@ -21,7 +21,6 @@ __all__ = [
     "Counter",
     "DataSource",
     "Event",
-    "OverflowInterrupt",
     "PebsRecord",
     "PebsSampler",
     "Pmu",

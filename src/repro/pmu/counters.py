@@ -1,31 +1,15 @@
-"""Programmable event counters with overflow interrupts.
+"""Event counters.
 
-ANVIL uses "the last-level cache miss counter facility that generates an
-interrupt after N misses.  The count is set such that if the miss interrupt
-arrives before the sample window timer interrupt, we know that the miss
-threshold has been breached" (Section 3.3).  :class:`Counter` models that:
-increment on events, fire a callback once the programmed period elapses.
+ANVIL's stage 1 uses "the last-level cache miss counter facility"
+(Section 3.3) to learn whether a tc window's misses reached the
+threshold.  The detector reads the count when the window's timer fires,
+which makes the same stage-1 decision the paper's overflow interrupt
+signals, so a :class:`Counter` only counts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
-from ..errors import PmuError
 from .events import Event
-
-
-@dataclass
-class OverflowInterrupt:
-    """Delivered to the overflow callback."""
-
-    event: Event
-    count_at_overflow: int
-    time_cycles: int
-
-
-OverflowCallback = Callable[[OverflowInterrupt], None]
 
 
 class Counter:
@@ -34,37 +18,12 @@ class Counter:
     def __init__(self, event: Event) -> None:
         self.event = event
         self.value = 0
-        self._period: int | None = None
-        self._next_overflow: int | None = None
-        self._callback: OverflowCallback | None = None
 
     def reset(self) -> None:
         self.value = 0
-        if self._period is not None:
-            self._next_overflow = self._period
 
     def read(self) -> int:
         return self.value
 
-    def program_overflow(self, period: int, callback: OverflowCallback) -> None:
-        """Request an interrupt after ``period`` further events."""
-        if period <= 0:
-            raise PmuError(f"overflow period must be positive, got {period}")
-        self._period = period
-        self._next_overflow = self.value + period
-        self._callback = callback
-
-    def clear_overflow(self) -> None:
-        self._period = None
-        self._next_overflow = None
-        self._callback = None
-
-    def increment(self, time_cycles: int, amount: int = 1) -> None:
+    def increment(self, amount: int = 1) -> None:
         self.value += amount
-        if self._next_overflow is not None and self.value >= self._next_overflow:
-            callback = self._callback
-            count = self.value
-            # Re-arm for the next period (hardware reload behaviour).
-            self._next_overflow = self.value + (self._period or 0)
-            if callback is not None:
-                callback(OverflowInterrupt(self.event, count, time_cycles))

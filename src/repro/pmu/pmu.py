@@ -1,9 +1,9 @@
 """The PMU facade: event counters plus the PEBS sampler.
 
 The simulated machine feeds every retiring memory access into
-:meth:`Pmu.on_access`; software (ANVIL) reads counters, programs overflow
-interrupts, and enables/disables sampling — the same surface the kernel
-module drives through perf MSRs.
+:meth:`Pmu.on_access`; software (ANVIL) reads counters and
+enables/disables sampling — the same surface the kernel module drives
+through perf MSRs.
 """
 
 from __future__ import annotations
@@ -97,15 +97,15 @@ class Pmu:
         can charge the PMI + record-drain cost to the running software.
         """
         if access.is_store:
-            self._c_stores.increment(time_cycles)
+            self._c_stores.increment()
         else:
-            self._c_loads.increment(time_cycles)
+            self._c_loads.increment()
         if access.llc_miss:
-            self._c_miss.increment(time_cycles)
+            self._c_miss.increment()
             if access.is_store:
-                self._c_store_miss.increment(time_cycles)
+                self._c_store_miss.increment()
             else:
-                self._c_load_miss.increment(time_cycles)
+                self._c_load_miss.increment()
         if self.sampler is not None and self.sampler.enabled:
             return self.sampler.offer(access, time_cycles)
         return None
@@ -115,14 +115,14 @@ class Pmu:
         but that core's own PEBS facility (no PMI cost charged to the
         monitored core's workload)."""
         if access.is_store:
-            self._c_stores.increment(time_cycles)
+            self._c_stores.increment()
         else:
-            self._c_loads.increment(time_cycles)
+            self._c_loads.increment()
         if access.llc_miss:
-            self._c_miss.increment(time_cycles)
+            self._c_miss.increment()
             if access.is_store:
-                self._c_store_miss.increment(time_cycles)
+                self._c_store_miss.increment()
             else:
-                self._c_load_miss.increment(time_cycles)
+                self._c_load_miss.increment()
         if self.aux_sampler is not None and self.aux_sampler.enabled:
             self.aux_sampler.offer(access, time_cycles)

@@ -29,8 +29,8 @@ several times faster.  Three mechanisms provide the speedup:
    defended or not, construct no ``MemoryAccess``/``HierarchyResult``
    records; PMU event counts and cache, controller and device statistics
    accumulate in plain local ints and are flushed before anything could
-   observe them.  A record only materialises when an armed counter or
-   the PEBS sampler needs to see the access.
+   observe them.  A record only materialises when a PEBS sampler needs
+   to see the access.
 
 **PAIR_LOAD** runs inline with ``Machine.execute``'s semantics: both
 loads take the walk from the same start cycle, load *a* first; the clock
@@ -40,26 +40,19 @@ the PMU and offering to the sampler at the current clock (a sampled
 first load's PMI cost lands before the second retires); timers fire
 once, after both.
 
-**Co-runner injection.**  ``BackgroundMix`` registers one access hook
-and names it in ``Machine.co_runner``.  While that hook is the only one,
-no memory-system listener is registered and no access counter has an
-overflow armed, the engine stays batched and, after each deferred
-LOAD/STORE retire and once per deferred PAIR_LOAD (the pair's second
-retire sees no elapsed time), calls ``co_runner(None, cycles, walk)``
-with an inline walk: a software-TLB lookup (``translate`` on a miss), the
-shared walk without the decode memo (co-runner misses rarely repeat an
-address), deferred shared PMU counts, and an offer to the aux-core
-sampler only when it is enabled and due.  The mix keeps the injection
-schedule, so a retire that takes a slow-path excursion (a sample,
-timer or slow op) reaches the same schedule through the hook, and both
-interleave exactly as in ``Machine.run``.  COMPUTE, MFENCE and CLFLUSH
-retire no record and inject nothing.
-
-**Hook stepping.**  While any other access hook or a memory-system
-listener is registered, or co-runners run beside an armed access
-counter, every access must materialise a record for it, so the engine
-steps ``Machine.execute`` op by op with the same counting and stop
-bookkeeping, and resumes batching once that no longer holds.
+**Access hooks** (``Machine.add_access_hook``: co-runners such as
+``BackgroundMix``, told how far the foreground has retired) run inside
+the batch.  After each deferred LOAD/STORE retire, and once per deferred
+PAIR_LOAD (its second retire sees no elapsed time), the engine calls
+``hook(cycles, walk)`` on each hook with an inline walk: a software-TLB
+lookup (``translate`` on a miss), the shared walk without the decode
+memo (co-runner misses rarely repeat an address), deferred shared PMU
+counts, and an offer to the aux-core sampler only when it is enabled
+and due.  A retire that takes an excursion (a sample or a slow op)
+calls ``hook(t)`` through ``Machine._retire`` instead.  A hook keeps
+its own schedule, so both engines interleave its accesses exactly as
+``Machine.run`` does.  COMPUTE, MFENCE and CLFLUSH retire no record and
+call no hook.
 
 **When the slow path is taken** (the engine falls back to plain
 ``Machine.execute`` for the op, or takes a bookkeeping excursion, then
@@ -69,7 +62,6 @@ re-hoists its locals and opens a new batch):
   kinds), or is a CLFLUSH while CLFLUSH is disallowed;
 - a virtual page of the op is not in the software TLB (first touch of a
   page);
-- an overflow interrupt is programmed on a counter the op would bump;
 - the PEBS sampler is armed and the access passes its filters (the
   sample — or the sampler's tie-breaking RNG draw — must happen exactly
   as on the slow path);
@@ -79,23 +71,21 @@ Controller defenses (PARA/TRR/ARMOR) run inside the batch: they see only
 ``(coord, time_cycles)``, and their victim refreshes bump device
 statistics directly while the batch defers its own (both are additive).
 
-Each fallback, and each hook-stepped op, is counted by reason in
-``Machine.fast_fallbacks`` (telemetry only: it is not part of any
-``RunResult`` or cache key).
+Each fallback is counted by reason (``op_kind``, ``tlb_fill``,
+``pebs``, ``timer``, ``until``) in ``Machine.fast_fallbacks`` (telemetry
+only: it is not part of any ``RunResult`` or cache key).
 
 Invariants the engine relies on (pinned by the equivalence suite in
 ``tests/test_fastpath_equivalence.py``):
 
-- hoisted state only changes inside callbacks (timers, overflow
-  interrupts, ``until``) or slow-path ops — all of which end the current
-  batch, so the hoisted locals are never stale;
-- deferred counter increments are only used while no overflow interrupt
-  is programmed on that counter, and deferred counts and statistics are
-  flushed before any callback, sample offer, predicate, or return (the
-  aux-core sampler's offers excepted: it reads neither);
-- hooks, listeners, ``Machine.co_runner`` and counter overflows only
-  change inside those same callbacks, so a batch keeps the mode it opened
-  in (plain, or injecting co-runner traffic inline);
+- hoisted state only changes inside callbacks (timers, ``until``) or
+  slow-path ops — all of which end the current batch, so the hoisted
+  locals are never stale (access hooks and defenses run inside the
+  batch and change none of it);
+- deferred counts and statistics are flushed before any callback,
+  sample offer, predicate, or return, a return by exception included
+  (access hooks and the aux-core sampler's offers excepted: they read
+  neither);
 - ops are pulled from the stream one at a time (never prefetched), so
   generators that count iterations or produce ops lazily observe the
   same consumption order as ``Machine.run``.
@@ -166,7 +156,6 @@ def execute_fast(
     # List identities are stable (add/remove mutate in place), so per-op
     # truthiness checks on these objects stay valid across callbacks.
     hooks = machine._access_hooks
-    listeners = memory._listeners
     observers = controller._observers
     row_filters = controller._row_filters
     run_observers = controller._run_observers
@@ -289,25 +278,6 @@ def execute_fast(
                 if done:
                     stopped = "until"
 
-    def _must_step() -> bool:
-        """True while an access hook or listener needs every record: any
-        of them but the co-runner's hook alone with every access counter
-        unarmed (see "Co-runner injection" above)."""
-        if not (hooks or listeners):
-            return False
-        co_runner = machine.co_runner
-        return bool(
-            listeners
-            or len(hooks) != 1
-            or co_runner is None
-            or not hooks[0] == co_runner  # == matches wrappers of the hook
-            or c_loads._next_overflow is not None
-            or c_stores._next_overflow is not None
-            or c_miss._next_overflow is not None
-            or c_load_miss._next_overflow is not None
-            or c_store_miss._next_overflow is not None
-        )
-
     def _walk(paddr: int, t0: int, memo: bool = True) -> tuple:
         """One load or store at ``paddr`` starting at ``t0`` (stores fill
         like loads; the controller ignores the kind).  Each level is one
@@ -397,9 +367,10 @@ def execute_fast(
         d_ctl_blocked += blocked
         return ("DRAM", lat_miss + dram_lat, True, coord, activated, flips_n)
 
-    def _co_runner_walk(vaddr: int, is_store: bool, t: int) -> None:
-        """One injected co-runner access at ``t``: ``MemorySystem.access``
-        plus ``Pmu.on_access_other_core``, with the shared counts deferred."""
+    def _other_core_walk(vaddr: int, is_store: bool, t: int) -> None:
+        """One access retired on another core at ``t`` (an access hook's
+        walk): ``MemorySystem.access`` plus ``Pmu.on_access_other_core``,
+        with the shared counts deferred."""
         nonlocal d_loads, d_stores, d_miss, d_load_miss, d_store_miss
         frame = tlb_get(vaddr >> page_bits)
         paddr = translate(vaddr) if frame is None else frame | (vaddr & offset_mask)
@@ -418,267 +389,219 @@ def execute_fast(
         if aux_on and t >= aux_sampler._next_sample_at:
             aux_sampler.offer(MemoryAccess(vaddr, paddr, is_store, *access), t)
 
-    while stopped is None:
-        if _must_step():
-            # -- hook stepping: each access must reach a hook or listener,
-            # so run the reference interpreter op by op until batching
-            # (plain or with inline co-runners) can resume.
-            stepped = 0
+    try:
+        while stopped is None:
+            # -- (re)hoist state a callback or slow-path op may have changed --
+            aux_sampler = pmu.aux_sampler
+            aux_on = aux_sampler is not None and aux_sampler.enabled
+            cycles = machine.cycles
+            next_deadline = machine._next_deadline
+            clflush_ok = memory.clflush_allowed
+            # flush_all() replaces the set lists, so they rebind per batch.
+            l1_sets = l1._sets
+            l2_sets = l2._sets
+            llc_sets = llc._sets
+            device = controller.device
+            dev_miss_fast = device.access_miss_fast
+            dev_stats = device.stats
+            open_rows = device._open_rows
+            hit_cyc = device._timings_cycles[0]
+            banks_per_rank = device._banks_per_rank
+            decode = controller.mapping.decode
+            ctl_stats = controller.stats
+            trefi = device.refresh_engine.trefi_cycles
+            trfc = device.refresh_engine.trfc_cycles
+            sampler = pmu.sampler
+            if sampler is not None and sampler.enabled:
+                scfg = sampler.config
+                next_sample_at = sampler._next_sample_at
+                sample_loads = scfg.sample_loads
+                sample_stores = scfg.sample_stores
+                sample_lat_min = scfg.latency_threshold_cycles
+            else:
+                next_sample_at = FAR_FUTURE
+                sample_loads = sample_stores = False
+                sample_lat_min = 0
+
             for op in it:
-                outcome = execute(op)
-                stepped += 1
-                if outcome is not None:
-                    for record in outcome if type(outcome) is list else (outcome,):
-                        if record.is_store:
+                kind = op[0]
+                slow = None  # fallback reason: run this op through execute()
+                if kind == LOAD or kind == STORE:
+                    vaddr = op[1]
+                    frame = tlb_get(vaddr >> page_bits)
+                    if frame is None:
+                        slow = "tlb_fill"
+                    else:
+                        is_store = kind == STORE
+                        paddr = frame | (vaddr & offset_mask)
+                        access = _walk(paddr, cycles)
+                        lat = access[1]
+                        miss = access[2]
+                        cycles += lat
+                        n += 1
+                        if is_store:
                             stores_n += 1
                         else:
                             loads_n += 1
-                        if record.level == "DRAM":
+                        if miss:
                             dram_n += 1
-                elif op[0] == CLFLUSH:
-                    clflush_n += 1
-                if machine.cycles >= deadline:
+                        if next_sample_at <= cycles and (
+                            (miss and sample_stores)
+                            if is_store
+                            else (sample_loads and lat >= sample_lat_min)
+                        ):
+                            # Armed sampler and the access passes its
+                            # filters: the offer must really happen (it
+                            # records a sample or burns a tie-break draw).
+                            fallbacks["pebs"] += 1
+                            _flush()
+                            _retire(MemoryAccess(vaddr, paddr, is_store, *access))
+                            _post_callbacks()
+                            break  # re-hoist (sampler/callback state changed)
+                        if is_store:
+                            d_stores += 1
+                            if miss:
+                                d_miss += 1
+                                d_store_miss += 1
+                        else:
+                            d_loads += 1
+                            if miss:
+                                d_miss += 1
+                                d_load_miss += 1
+                        if hooks:
+                            for hook in hooks:
+                                hook(cycles, _other_core_walk)
+                elif kind == COMPUTE:
+                    cycles += op[1]
+                    n += 1
+                elif kind == CLFLUSH:
+                    vaddr = op[1]
+                    frame = tlb_get(vaddr >> page_bits)
+                    if frame is None:
+                        slow = "tlb_fill"
+                    elif not clflush_ok:
+                        slow = "op_kind"  # raises ClflushRestrictedError
+                    else:
+                        paddr = frame | (vaddr & offset_mask)
+                        line = paddr >> line_bits
+                        if (
+                            l1_sets[line & l1_mask] if l1_simple else l1_sets[l1_index(paddr)]
+                        ).discard(line):
+                            d1_inval += 1
+                        if (
+                            l2_sets[line & l2_mask] if l2_simple else l2_sets[l2_index(paddr)]
+                        ).discard(line):
+                            d2_inval += 1
+                        if llc_simple:
+                            cset = llc_sets[line & llc_mask]
+                        else:
+                            idx = llc_memo_get(line)
+                            cset = llc_sets[idx if idx is not None else llc_index(paddr)]
+                        if cset.discard(line):
+                            d3_inval += 1
+                        cycles += clflush_cycles
+                        clflush_n += 1
+                        n += 1
+                elif kind == PAIR_LOAD:
+                    vaddr_a, vaddr_b = op[1]
+                    frame_a = tlb_get(vaddr_a >> page_bits)
+                    frame_b = tlb_get(vaddr_b >> page_bits)
+                    if frame_a is None or frame_b is None:
+                        slow = "tlb_fill"
+                    else:
+                        # Both loads start at the same cycle, a first; the
+                        # pair costs the larger latency.
+                        paddr_a = frame_a | (vaddr_a & offset_mask)
+                        paddr_b = frame_b | (vaddr_b & offset_mask)
+                        access_a = _walk(paddr_a, cycles)
+                        access_b = _walk(paddr_b, cycles)
+                        lat = access_a[1]
+                        if access_b[1] > lat:
+                            lat = access_b[1]
+                        cycles += lat
+                        n += 1
+                        loads_n += 2
+                        lcg = (machine._pair_lcg * 1103515245 + 12345) & 0x7FFFFFFF
+                        machine._pair_lcg = lcg
+                        miss_a = access_a[2]
+                        miss_b = access_b[2]
+                        dram_n += miss_a + miss_b
+                        if next_sample_at <= cycles and sample_loads and lat >= sample_lat_min:
+                            # The sampler could take either load.
+                            fallbacks["pebs"] += 1
+                            _flush()
+                            rec_a = MemoryAccess(vaddr_a, paddr_a, False, *access_a)
+                            rec_b = MemoryAccess(vaddr_b, paddr_b, False, *access_b)
+                            if lcg & 0x10000:
+                                _retire(rec_b, rec_a)
+                            else:
+                                _retire(rec_a, rec_b)
+                            _post_callbacks()
+                            break  # re-hoist (sampler/callback state changed)
+                        d_loads += 2
+                        if miss_a:
+                            d_miss += 1
+                            d_load_miss += 1
+                        if miss_b:
+                            d_miss += 1
+                            d_load_miss += 1
+                        if hooks:
+                            for hook in hooks:
+                                hook(cycles, _other_core_walk)
+                elif kind == MFENCE:
+                    cycles += mfence_cycles
+                    n += 1
+                else:
+                    slow = "op_kind"  # unknown kinds: execute() raises
+
+                if slow is not None:
+                    # -- full reference semantics for this one op --
+                    fallbacks[slow] += 1
+                    _flush()
+                    outcome = execute(op)  # may raise; state is synced
+                    n += 1
+                    if outcome is not None:
+                        for record in outcome if type(outcome) is list else (outcome,):
+                            if record.is_store:
+                                stores_n += 1
+                            else:
+                                loads_n += 1
+                            if record.level == "DRAM":
+                                dram_n += 1
+                    elif kind == CLFLUSH:
+                        clflush_n += 1
+                    _post_callbacks()
+                    break  # re-hoist (execute may have run callbacks)
+
+                # -- shared epilogue for every deferred fast op ---------------
+                if cycles >= next_deadline:
+                    fallbacks["timer"] += 1
+                    _flush()
+                    machine._fire_due_timers()
+                    _post_callbacks()
+                    break  # re-hoist (timer callbacks ran)
+                if cycles >= deadline:
                     stopped = "max_cycles"
                     break
                 if until is not None:
                     until_left -= 1
                     if until_left == 0:
                         until_left = check_every
-                        if until(machine):
+                        fallbacks["until"] += 1
+                        _flush()
+                        done = until(machine)
+                        cycles = machine.cycles
+                        if done:
                             stopped = "until"
-                            break
-                if not _must_step():
-                    break  # resume batching
+                        break  # re-hoist (the predicate saw the machine)
             else:
                 stopped = "exhausted"
-            n += stepped
-            fallbacks["hook"] += stepped
-            continue
-
-        # -- (re)hoist state a callback or slow-path op may have changed ------
-        inject = machine.co_runner if hooks else None
-        aux_sampler = pmu.aux_sampler
-        aux_on = aux_sampler is not None and aux_sampler.enabled
-        cycles = machine.cycles
-        next_deadline = machine._next_deadline
-        clflush_ok = memory.clflush_allowed
-        # flush_all() replaces the set lists, so they rebind per batch.
-        l1_sets = l1._sets
-        l2_sets = l2._sets
-        llc_sets = llc._sets
-        device = controller.device
-        dev_miss_fast = device.access_miss_fast
-        dev_stats = device.stats
-        open_rows = device._open_rows
-        hit_cyc = device._timings_cycles[0]
-        banks_per_rank = device._banks_per_rank
-        decode = controller.mapping.decode
-        ctl_stats = controller.stats
-        trefi = device.refresh_engine.trefi_cycles
-        trfc = device.refresh_engine.trfc_cycles
-        hit_defer = c_loads._next_overflow is None and c_stores._next_overflow is None
-        miss_defer = hit_defer and (
-            c_miss._next_overflow is None
-            and c_load_miss._next_overflow is None
-            and c_store_miss._next_overflow is None
-        )
-        sampler = pmu.sampler
-        if sampler is not None and sampler.enabled:
-            scfg = sampler.config
-            next_sample_at = sampler._next_sample_at
-            sample_loads = scfg.sample_loads
-            sample_stores = scfg.sample_stores
-            sample_lat_min = scfg.latency_threshold_cycles
-        else:
-            next_sample_at = FAR_FUTURE
-            sample_loads = sample_stores = False
-            sample_lat_min = 0
-
-        for op in it:
-            kind = op[0]
-            slow = None  # fallback reason: run this op through execute()
-            if kind == LOAD or kind == STORE:
-                vaddr = op[1]
-                frame = tlb_get(vaddr >> page_bits)
-                if frame is None:
-                    slow = "tlb_fill"
-                elif not hit_defer:
-                    slow = "armed_counter"
-                else:
-                    is_store = kind == STORE
-                    paddr = frame | (vaddr & offset_mask)
-                    access = _walk(paddr, cycles)
-                    lat = access[1]
-                    miss = access[2]
-                    cycles += lat
-                    n += 1
-                    if is_store:
-                        stores_n += 1
-                    else:
-                        loads_n += 1
-                    reason = None
-                    if next_sample_at <= cycles and (
-                        (miss and sample_stores)
-                        if is_store
-                        else (sample_loads and lat >= sample_lat_min)
-                    ):
-                        # Armed sampler and the access passes its filters:
-                        # the offer must really happen (it records a
-                        # sample or burns a tie-break draw).
-                        reason = "pebs"
-                    if miss:
-                        dram_n += 1
-                        if not miss_defer:
-                            reason = "armed_counter"
-                    if reason is not None:
-                        fallbacks[reason] += 1
-                        _flush()
-                        _retire(MemoryAccess(vaddr, paddr, is_store, *access))
-                        _post_callbacks()
-                        break  # re-hoist (sampler/callback state changed)
-                    if is_store:
-                        d_stores += 1
-                        if miss:
-                            d_miss += 1
-                            d_store_miss += 1
-                    else:
-                        d_loads += 1
-                        if miss:
-                            d_miss += 1
-                            d_load_miss += 1
-                    if inject is not None:
-                        inject(None, cycles, _co_runner_walk)
-            elif kind == COMPUTE:
-                cycles += op[1]
-                n += 1
-            elif kind == CLFLUSH:
-                vaddr = op[1]
-                frame = tlb_get(vaddr >> page_bits)
-                if frame is None:
-                    slow = "tlb_fill"
-                elif not clflush_ok:
-                    slow = "op_kind"  # raises ClflushRestrictedError
-                else:
-                    paddr = frame | (vaddr & offset_mask)
-                    line = paddr >> line_bits
-                    if (
-                        l1_sets[line & l1_mask] if l1_simple else l1_sets[l1_index(paddr)]
-                    ).discard(line):
-                        d1_inval += 1
-                    if (
-                        l2_sets[line & l2_mask] if l2_simple else l2_sets[l2_index(paddr)]
-                    ).discard(line):
-                        d2_inval += 1
-                    if llc_simple:
-                        cset = llc_sets[line & llc_mask]
-                    else:
-                        idx = llc_memo_get(line)
-                        cset = llc_sets[idx if idx is not None else llc_index(paddr)]
-                    if cset.discard(line):
-                        d3_inval += 1
-                    cycles += clflush_cycles
-                    clflush_n += 1
-                    n += 1
-            elif kind == PAIR_LOAD:
-                vaddr_a, vaddr_b = op[1]
-                frame_a = tlb_get(vaddr_a >> page_bits)
-                frame_b = tlb_get(vaddr_b >> page_bits)
-                if frame_a is None or frame_b is None:
-                    slow = "tlb_fill"
-                elif not hit_defer:
-                    slow = "armed_counter"
-                else:
-                    # Both loads start at the same cycle, a first; the
-                    # pair costs the larger latency.
-                    paddr_a = frame_a | (vaddr_a & offset_mask)
-                    paddr_b = frame_b | (vaddr_b & offset_mask)
-                    access_a = _walk(paddr_a, cycles)
-                    access_b = _walk(paddr_b, cycles)
-                    lat = access_a[1]
-                    if access_b[1] > lat:
-                        lat = access_b[1]
-                    cycles += lat
-                    n += 1
-                    loads_n += 2
-                    lcg = (machine._pair_lcg * 1103515245 + 12345) & 0x7FFFFFFF
-                    machine._pair_lcg = lcg
-                    miss_a = access_a[2]
-                    miss_b = access_b[2]
-                    reason = None
-                    if next_sample_at <= cycles and sample_loads and lat >= sample_lat_min:
-                        reason = "pebs"  # the sampler could take either load
-                    if miss_a or miss_b:
-                        dram_n += miss_a + miss_b
-                        if not miss_defer:
-                            reason = "armed_counter"
-                    if reason is not None:
-                        fallbacks[reason] += 1
-                        _flush()
-                        rec_a = MemoryAccess(vaddr_a, paddr_a, False, *access_a)
-                        rec_b = MemoryAccess(vaddr_b, paddr_b, False, *access_b)
-                        if lcg & 0x10000:
-                            _retire(rec_b, rec_a)
-                        else:
-                            _retire(rec_a, rec_b)
-                        _post_callbacks()
-                        break  # re-hoist (sampler/callback state changed)
-                    d_loads += 2
-                    if miss_a:
-                        d_miss += 1
-                        d_load_miss += 1
-                    if miss_b:
-                        d_miss += 1
-                        d_load_miss += 1
-                    if inject is not None:
-                        inject(None, cycles, _co_runner_walk)
-            elif kind == MFENCE:
-                cycles += mfence_cycles
-                n += 1
-            else:
-                slow = "op_kind"  # unknown kinds: execute() raises
-
-            if slow is not None:
-                # -- full reference semantics for this one op --
-                fallbacks[slow] += 1
-                _flush()
-                outcome = execute(op)  # may raise; state is synced
-                n += 1
-                if outcome is not None:
-                    for record in outcome if type(outcome) is list else (outcome,):
-                        if record.is_store:
-                            stores_n += 1
-                        else:
-                            loads_n += 1
-                        if record.level == "DRAM":
-                            dram_n += 1
-                elif kind == CLFLUSH:
-                    clflush_n += 1
-                _post_callbacks()
-                break  # re-hoist (execute may have run callbacks)
-
-            # -- shared epilogue for every deferred fast op -------------------
-            if cycles >= next_deadline:
-                fallbacks["timer"] += 1
-                _flush()
-                machine._fire_due_timers()
-                _post_callbacks()
-                break  # re-hoist (timer callbacks ran)
-            if cycles >= deadline:
-                stopped = "max_cycles"
-                break
-            if until is not None:
-                until_left -= 1
-                if until_left == 0:
-                    until_left = check_every
-                    fallbacks["until"] += 1
-                    _flush()
-                    done = until(machine)
-                    cycles = machine.cycles
-                    if done:
-                        stopped = "until"
-                    break  # re-hoist (the predicate saw the machine)
-        else:
-            stopped = "exhausted"
+    finally:
+        # Publish deferred state also when the stream, a hook or a callback
+        # raises.  An excursion that raised may have moved the machine's
+        # clock past the batch's copy (time only moves forward).
+        if machine.cycles > cycles:
+            cycles = machine.cycles
         _flush()
 
     result = RunResult(

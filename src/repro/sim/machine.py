@@ -15,6 +15,9 @@ module:
 - **PMU feeds**: every retiring memory access updates counters and may be
   PEBS-sampled; each delivered sample charges ``pmi_cost_cycles`` to model
   the performance-monitoring interrupt plus record processing.
+
+Co-runners on other cores (the heavy-load mix) follow the foreground
+through **access hooks** (:meth:`add_access_hook`).
 """
 
 from __future__ import annotations
@@ -64,18 +67,11 @@ class Machine:
         #: in :meth:`execute`/:meth:`consume` costs one comparison.
         self._next_deadline = FAR_FUTURE
         self._pair_lcg = 0x2545F491
-        self._access_hooks: list[Callable[[MemoryAccess, int], None]] = []
-        #: The access hook of the attached co-runner mix (set by
-        #: ``BackgroundMix.attach``, cleared by ``detach``).  Besides the
-        #: hook call ``co_runner(record, t)``, it takes
-        #: ``co_runner(None, t, walk)``: inject the co-runner ops due by
-        #: ``t`` through ``walk(vaddr, is_store, t)``.  While it is the only
-        #: hook, the fast engine injects inline with its own walk.
-        self.co_runner: Callable[..., None] | None = None
+        self._access_hooks: list[Callable[..., None]] = []
         #: Fast-path fallbacks by reason (see :mod:`repro.sim.fastpath`):
-        #: ``op_kind``, ``tlb_fill``, ``hook`` (one per stepped op),
-        #: ``armed_counter``, ``pebs``, ``timer``, ``until``.  Controller
-        #: defenses (PARA/TRR/ARMOR) run inline and cause none.
+        #: ``op_kind``, ``tlb_fill``, ``pebs``, ``timer``, ``until``.
+        #: Access hooks and controller defenses (PARA/TRR/ARMOR) run
+        #: inline and cause none.
         #: Engine telemetry only: no RunResult or cache key includes it.
         self.fast_fallbacks: Counter[str] = Counter()
 
@@ -124,12 +120,24 @@ class Machine:
 
     # -- access hooks -----------------------------------------------------------------
 
-    def add_access_hook(self, hook: Callable[[MemoryAccess, int], None]) -> None:
-        """Register a callback run after every memory access (defenses and
-        diagnostics that need machine time)."""
+    def add_access_hook(self, hook: Callable[..., None]) -> None:
+        """Register a co-runner that is told how far the foreground has
+        retired.
+
+        :meth:`_retire` calls ``hook(t)`` after each retiring load or
+        store, ``t`` being the clock after the retire; the fast engine
+        calls ``hook(t, walk)`` after each retire it defers, where
+        ``walk(vaddr, is_store, t)`` is one access retired on another core
+        (shared caches, DRAM and counters; that core's sampler).  A
+        deferred ``PAIR_LOAD``'s two retires share one ``t`` and one call,
+        so a hook must treat a repeated ``t`` as a no-op.  The fast engine
+        calls a hook inside its batch: the hook must not move the clock,
+        schedule timers or register anything, and given a ``walk`` it
+        must reach memory only through it.
+        """
         self._access_hooks.append(hook)
 
-    def remove_access_hook(self, hook: Callable[[MemoryAccess, int], None]) -> None:
+    def remove_access_hook(self, hook: Callable[..., None]) -> None:
         self._access_hooks.remove(hook)
 
     # -- execution ----------------------------------------------------------------------
@@ -181,7 +189,7 @@ class Machine:
             self.cycles += self.pmi_cost_cycles
             self.overhead_cycles += self.pmi_cost_cycles
         for hook in self._access_hooks:
-            hook(record, self.cycles)
+            hook(self.cycles)
 
     def run(
         self,

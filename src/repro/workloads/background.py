@@ -14,12 +14,13 @@ are injected through the shared memory system interleaved with the
 foreground's (after each foreground retire, topped up by a timer when the
 foreground is compute-bound) and fed to the PMU's auxiliary-core sampler.
 
-The mix registers one machine access hook and names it in
-``Machine.co_runner``.  The reference interpreter reaches it through the
-hook, and each injected op walks ``MemorySystem.access`` and
-``Pmu.on_access_other_core``.  The fast engine calls it after each of its
+The mix registers one machine access hook,
+:meth:`BackgroundMix._inject_up_to`, which is told how far the foreground
+has retired.  Called from the reference interpreter's retire, each
+injected op walks ``MemorySystem.access`` and
+``Pmu.on_access_other_core``; the fast engine calls it after each of its
 own deferred retires with an inline walk instead (see
-:mod:`repro.sim.fastpath`); the injection schedule (the float
+:mod:`repro.sim.fastpath`).  The injection schedule (the float
 accumulator, the stream choice and the skipping of compute ops) lives
 here either way, so both engines inject the same ops at the same cycles.
 
@@ -36,7 +37,6 @@ import weakref
 from typing import Callable, Iterator
 
 from ..errors import ConfigError
-from ..mem import MemoryAccess
 from ..sim.machine import Machine
 from ..sim.ops import CLFLUSH, COMPUTE, MFENCE, Op, STORE
 from .spec import SpecWorkload, spec_profile
@@ -62,7 +62,7 @@ class BackgroundMix:
     testbed while contending for its memory system).
 
     A mix attaches to one machine, once, and a machine carries at most
-    one mix (``Machine.co_runner``); :meth:`detach` stops injection for
+    one mix among its access hooks; :meth:`detach` stops injection for
     good and may be called repeatedly.  The machine holds the mix's hook
     and timer, so the mix refers back to it only weakly: a dropped
     machine is freed without waiting for the cyclic garbage collector.
@@ -90,14 +90,16 @@ class BackgroundMix:
         self._pending = 0.0
         self._last_cycles = 0
         self._running = False
-        self._injecting = False
         self._rng = random.Random(seed)
 
     def attach(self, machine: Machine) -> None:
         """Prepare co-runner buffers and start interleaved injection."""
         if self._machine is not None:
             raise ConfigError("this BackgroundMix is already attached")
-        if machine.co_runner is not None:
+        if any(
+            isinstance(getattr(hook, "__self__", None), BackgroundMix)
+            for hook in machine._access_hooks
+        ):
             raise ConfigError("the machine already has a co-runner mix attached")
         self._machine = weakref.ref(machine)
         workloads = []
@@ -120,8 +122,7 @@ class BackgroundMix:
         self._last_cycles = machine.cycles
         self._running = True
         machine.pmu.enable_aux_core()  # co-runners retire on another core
-        machine.add_access_hook(self._on_foreground_access)
-        machine.co_runner = self._on_foreground_access
+        machine.add_access_hook(self._inject_up_to)
         machine.schedule_in_ms(self.tick_ms, self._tick)
 
     def detach(self) -> None:
@@ -130,22 +131,9 @@ class BackgroundMix:
         if machine is None or not self._running:
             return
         self._running = False
-        machine.co_runner = None
-        machine.remove_access_hook(self._on_foreground_access)
+        machine.remove_access_hook(self._inject_up_to)
 
     # -- injection ------------------------------------------------------------
-
-    def _on_foreground_access(
-        self,
-        access: MemoryAccess | None,
-        time_cycles: int,
-        walk: Walk | None = None,
-    ) -> None:
-        """The access hook (``Machine.co_runner``): inject up to a
-        foreground retire.  The fast engine calls it with no record and
-        its own ``walk``."""
-        del access
-        self._inject_up_to(time_cycles, walk)
 
     def _tick(self, machine: Machine) -> None:
         """Catch-up injector for compute-bound foreground phases."""
@@ -155,15 +143,18 @@ class BackgroundMix:
         machine.schedule_in_ms(self.tick_ms, self._tick)
 
     def _inject_up_to(self, time_cycles: int, walk: Walk | None = None) -> None:
-        """Inject the co-runner ops that retired since the last call.
+        """The access hook: inject the co-runner ops that retired since
+        the last call.
 
         ``_pending`` accumulates ``elapsed * ops_per_cycle`` per call, so
         the schedule depends on how elapsed time is split: every engine
-        must call this after the same retires.  Each injected op is one
-        ``walk(vaddr, is_store, time_cycles)``; the default walk is the
-        reference chain (:meth:`_reference_walk`).
+        must call this after the same retires.  A repeated ``time_cycles``
+        adds nothing (a deferred ``PAIR_LOAD``'s two retires share one
+        call).  Each injected op is one ``walk(vaddr, is_store,
+        time_cycles)``; the default walk is the reference chain
+        (:meth:`_reference_walk`).
         """
-        if not self._running or self._injecting:
+        if not self._running:
             return
         elapsed = time_cycles - self._last_cycles
         self._last_cycles = time_cycles
@@ -176,18 +167,14 @@ class BackgroundMix:
         self._pending -= count
         if walk is None:
             walk = self._reference_walk
-        self._injecting = True  # co-runner accesses must not re-enter
-        try:
-            for _ in range(count):
-                stream = self._rng.choice(self._streams)
-                op = next(stream)
-                while op[0] in (COMPUTE, MFENCE, CLFLUSH):
-                    op = next(stream)  # co-runner compute costs no shared time
-                kind, vaddr = op
-                walk(vaddr, kind == STORE, time_cycles)
-                self.injected_ops += 1
-        finally:
-            self._injecting = False
+        for _ in range(count):
+            stream = self._rng.choice(self._streams)
+            op = next(stream)
+            while op[0] in (COMPUTE, MFENCE, CLFLUSH):
+                op = next(stream)  # co-runner compute costs no shared time
+            kind, vaddr = op
+            walk(vaddr, kind == STORE, time_cycles)
+            self.injected_ops += 1
 
     def _reference_walk(self, vaddr: int, is_store: bool, time_cycles: int) -> None:
         """One co-runner access through the shared memory system, retired

@@ -117,9 +117,9 @@ def test_dropped_machine_is_freed_without_the_cycle_collector():
 
 def test_background_mix_attaches_once():
     """A mix attaches once and a machine carries one mix: a second attach
-    would map every co-runner buffer again and leave a hook behind that
-    keeps the fast engine stepping every op.  ``detach`` is idempotent
-    and frees the machine for another mix."""
+    would map every co-runner buffer again and inject a second stream of
+    co-runner ops.  ``detach`` is idempotent and frees the machine for
+    another mix."""
     machine = small_machine()
     mix = BackgroundMix(seed=1)
     mix.attach(machine)
@@ -129,18 +129,16 @@ def test_background_mix_attaches_once():
     with pytest.raises(ConfigError):
         BackgroundMix(seed=2).attach(machine)
     assert machine.memory.vm.mapped_pages == pages
-    assert machine._access_hooks == [machine.co_runner]
+    assert machine._access_hooks == [mix._inject_up_to]
 
     mix.detach()
     mix.detach()
-    assert machine._access_hooks == [] and machine.co_runner is None
+    assert machine._access_hooks == []
 
     other = BackgroundMix(seed=2)
     other.attach(machine)
     mix.detach()  # a stale detach leaves the new mix attached
-    assert machine.co_runner is not None
-    assert machine._access_hooks == [machine.co_runner]
+    assert machine._access_hooks == [other._inject_up_to]
     vaddr = machine.memory.vm.mmap(4096)
     machine.run_fast([(LOAD, vaddr)] * 2_000)
-    assert machine.fast_fallbacks["hook"] == 0
     assert other.injected_ops > 0

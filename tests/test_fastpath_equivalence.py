@@ -10,15 +10,16 @@ device statistics, open-row state, and bit flips.
 Streams are seeded random blends of every op kind, plus the hammer kernel
 (which reaches DRAM, activates rows, and flips bits), with and without
 ANVIL armed (timers + PEBS sampling + selective refresh), plus the
-stop-condition and TLB-remap corners, plus workload-generator streams and
-the hook-driven slow path (a bare access hook), plus the ``BackgroundMix``
-co-runner injector that the heavy-load experiments attach (inline on the
-fast engine; hook-stepped beside a second hook, a memory listener or an
-armed miss counter; beside PARA), plus the CLFLUSH-free attack's
-``PAIR_LOAD`` stream alone, under ANVIL, and with co-runners attached or
-detached mid-run, plus the PARA, TRR and ARMOR controller defenses on the
-LOAD/STORE hammer, the ``PAIR_LOAD`` stream and a random stream, which
-the fast engine runs inline without leaving its batches.
+stop-condition and TLB-remap corners, plus a stream that raises, plus
+workload-generator streams, plus a bare access hook that records the
+retire times it is told, plus the ``BackgroundMix`` co-runner injector
+that the heavy-load experiments attach (alone and beside PARA), plus the
+CLFLUSH-free attack's ``PAIR_LOAD`` stream alone, under ANVIL, and with
+co-runners attached or detached mid-run, plus the PARA, TRR and ARMOR
+controller defenses on the LOAD/STORE hammer, the ``PAIR_LOAD`` stream
+and a random stream.  The fast engine runs hooks, co-runners and
+defenses inline, leaving its batches only for a first touch of a page,
+a PEBS sample, a timer or the ``until`` predicate.
 """
 
 from __future__ import annotations
@@ -155,16 +156,31 @@ def build_machine(anvil: bool = False, threshold_min: int | None = None):
     return machine
 
 
-def run_twins(build_ops, *, anvil=False, background=False, threshold_min=None,
-              map_pages=0, max_cycles=None, until_misses=None, check_every=64,
-              detach_after=None, fallbacks=None):
+class RetireRecorder:
+    """An access hook that is not a ``BackgroundMix``: it keeps each
+    retire time that differs from the previous one (a repeated time is a
+    no-op, as the hook contract asks)."""
+
+    def __init__(self) -> None:
+        self.times: list[int] = []
+
+    def __call__(self, time_cycles, walk=None) -> None:
+        if not self.times or self.times[-1] != time_cycles:
+            self.times.append(time_cycles)
+
+
+def run_twins(build_ops, *, anvil=False, background=False, record=False,
+              threshold_min=None, map_pages=0, max_cycles=None, until_misses=None,
+              check_every=64, detach_after=None, fallbacks=None):
     """Run the same stream through both paths; return (results, snapshots).
 
     ``background`` attaches the heavy-load co-runner mix to each twin and
     adds its injected-op count and schedule to the snapshot (``"mix"``);
     ``detach_after`` schedules a timer that detaches it that many cycles
-    into the run.  The fast twin's ``Machine.fast_fallbacks`` are added to
-    ``fallbacks`` when given.
+    into the run.  ``record`` registers a :class:`RetireRecorder` on each
+    twin and adds its times to the snapshot (``"retires"``).  The fast
+    twin's ``Machine.fast_fallbacks`` are added to ``fallbacks`` when
+    given.
     """
     outcomes = []
     for fast in (False, True):
@@ -173,6 +189,9 @@ def run_twins(build_ops, *, anvil=False, background=False, threshold_min=None,
         if background:
             mix = BackgroundMix()
             mix.attach(machine)
+        recorder = RetireRecorder()
+        if record:
+            machine.add_access_hook(recorder)
         for p in range(map_pages):
             machine.memory.vm.map_fixed(p * PAGE, p * PAGE)
         ops = build_ops(machine) if callable(build_ops) else build_ops
@@ -185,7 +204,10 @@ def run_twins(build_ops, *, anvil=False, background=False, threshold_min=None,
         runner = machine.run_fast if fast else machine.run
         result = runner(ops, max_cycles=max_cycles, until=until,
                         check_every=check_every)
-        outcomes.append((result_tuple(result), state_snapshot(machine, mix)))
+        snapshot = state_snapshot(machine, mix)
+        if record:
+            snapshot["retires"] = recorder.times
+        outcomes.append((result_tuple(result), snapshot))
         if fast and fallbacks is not None:
             fallbacks.update(machine.fast_fallbacks)
     return outcomes
@@ -261,6 +283,47 @@ def test_check_every_below_one_rejected(engine, check_every):
     assert pulled == []
 
 
+def raising_ops(n_pairs: int = 500):
+    """LOAD/CLFLUSH pairs over the first 64 pages, then a RuntimeError."""
+    for i in range(n_pairs):
+        vaddr = (i % 64) * PAGE + (i // 64) * 64
+        yield (LOAD, vaddr)
+        yield (CLFLUSH, vaddr)
+    raise RuntimeError("op stream failed")
+
+
+def raise_in_timer(machine):
+    """A timer 20,000 cycles in that takes time, then raises."""
+
+    def fail(m):
+        m.consume(1_000)
+        raise RuntimeError("timer callback failed")
+
+    machine.schedule_in(20_000, fail)
+
+
+@pytest.mark.parametrize("where", ["stream", "timer"])
+def test_raise_leaves_equal_state(where):
+    """An exception from the op stream or a callback escapes both engines
+    with the same machine state: the fast engine publishes its deferred
+    counts, statistics and clock on the way out, and keeps the clock an
+    excursion moved before it raised."""
+    snapshots = []
+    for fast in (False, True):
+        machine = build_machine()
+        for p in range(64):
+            machine.memory.vm.map_fixed(p * PAGE, p * PAGE)
+            machine.memory.vm.translate(p * PAGE)  # no first-touch excursions
+        if where == "timer":
+            raise_in_timer(machine)
+        runner = machine.run_fast if fast else machine.run
+        with pytest.raises(RuntimeError, match=where):
+            runner(raising_ops())
+        snapshots.append(state_snapshot(machine))
+    assert snapshots[0]["counters"]["LONGEST_LAT_CACHE_MISS"] > 0
+    assert snapshots[1] == snapshots[0]
+
+
 def test_tlb_remap_equivalent():
     """map_fixed over a live mapping must invalidate the fast path's TLB."""
 
@@ -310,13 +373,6 @@ def workload_ops(workload, machine):
     return workload.ops()
 
 
-def hooked_hammer_ops(machine):
-    """Hammer with a no-op access hook registered, which keeps the fast
-    path on its per-access slow path for the whole run."""
-    machine.add_access_hook(lambda record, cycles: None)
-    return hammer_ops(machine, 20_000, think=120)
-
-
 def cache_resident_ops(machine, n: int = 30_000) -> list:
     """Loads and stores over 8 KB that stay in L1 after the first pass,
     so DRAM traffic is nearly all the co-runners'."""
@@ -337,24 +393,6 @@ def with_setup(setup, build_ops):
         return build_ops(machine)
 
     return build
-
-
-def arm_miss_counter_at(cycles: int):
-    """Setup: a timer ``cycles`` into the run arms an overflow interrupt
-    on the LLC-miss counter, which the co-runners also bump; each
-    interrupt charges 50 overhead cycles."""
-
-    def arm(machine):
-        counter = machine.pmu.counter(Event.LONGEST_LAT_CACHE_MISS)
-
-        def on_overflow(interrupt):
-            machine.consume(50, overhead=True)
-
-        machine.schedule_in(
-            cycles, lambda m: counter.program_overflow(100, on_overflow)
-        )
-
-    return arm
 
 
 def clflush_free_ops(defense=None):
@@ -398,7 +436,11 @@ ENGINE_ROWS = {
         lambda m: hammer_ops(m, 40_000, think=120),
         {"threshold_min": 2_000},
     ),
-    "hammer-access-hook": (hooked_hammer_ops, {"threshold_min": 2_000}),
+    # A lone recording hook: each retire's time, told by both engines.
+    "hammer-think-hook": (
+        lambda m: hammer_ops(m, 20_000, think=120),
+        {"threshold_min": 2_000, "record": True},
+    ),
     "hammer-background": (
         lambda m: hammer_ops(m, 40_000),
         {"background": True},
@@ -414,26 +456,11 @@ ENGINE_ROWS = {
         lambda m: random_ops(12, 20_000),
         {"map_pages": 32, "background": True},
     ),
-    # Co-runners beside anything else that needs every access record:
-    # the fast engine must step each op through execute().
-    "hammer-background-second-hook": (hooked_hammer_ops, {"background": True}),
-    "hammer-background-listener": (
-        with_setup(lambda m: m.memory.add_listener(lambda record: None),
-                   lambda m: hammer_ops(m, 20_000)),
-        {"background": True},
-    ),
     # The foreground stays in L1, so PARA's observer sees mostly injected
     # DRAM accesses, each run inside the inline co-runner walk.
     "cache-resident-background-para": (
         with_setup(lambda m: Para(probability=0.05).install(m),
                    cache_resident_ops),
-        {"background": True},
-    ),
-    # Inline injection until the timer arms the miss counter, then hook
-    # stepping to the end of the run.
-    "hammer-background-armed-counter": (
-        with_setup(arm_miss_counter_at(300_000),
-                   lambda m: hammer_ops(m, 20_000)),
         {"background": True},
     ),
     # ~0.8 ms of hammering: the victim flips at threshold 2,000.
@@ -444,6 +471,12 @@ ENGINE_ROWS = {
     "clflush-free-anvil": (
         clflush_free_ops(),
         {"anvil": True, "threshold_min": 30_000, "max_cycles": 6_000_000},
+    ),
+    # One hook call per deferred pair; the reference's second call repeats
+    # the first's time.
+    "clflush-free-hook": (
+        clflush_free_ops(),
+        {"threshold_min": 2_000, "max_cycles": 2_000_000, "record": True},
     ),
     "clflush-free-para": (
         clflush_free_ops(lambda: Para(probability=0.01)),
@@ -503,13 +536,7 @@ ENGINE_ROWS = {
 #: Fast-path fallback reasons a row must exercise, so each row provably
 #: covers the engine path it is named for.
 ROW_PATHS = {
-    "hammer-access-hook": ("hook",),
     "hammer-background-anvil": ("pebs",),
-    "hammer-background-second-hook": ("hook",),
-    "hammer-background-listener": ("hook",),
-    # Only a batch counts "timer" fallbacks: the run batched until the
-    # timer armed the counter, then stepped.
-    "hammer-background-armed-counter": ("timer", "hook"),
     "clflush-free-anvil": ("pebs",),
     "clflush-free-background-detach": ("timer",),
     "hammer-para-timer": ("timer",),
@@ -531,8 +558,7 @@ DEFENSE_ROWS = {
     "clflush-free-armor",
 }
 
-#: Co-runner rows the fast engine must run batched, injecting inline: no
-#: op is hook-stepped and the mix injected ops.
+#: Co-runner rows: the mix must have injected ops.
 INLINE_ROWS = {
     "hammer-background",
     "hammer-background-anvil",
@@ -546,7 +572,11 @@ INLINE_ROWS = {
 AUX_SAMPLE_ROWS = {"hammer-background-anvil"}
 
 #: Rows that must reach the disturbance model.
-FLIP_ROWS = {"hammer-think", "hammer-access-hook", "clflush-free"}
+FLIP_ROWS = {"hammer-think", "hammer-think-hook", "clflush-free"}
+
+#: Fallback reasons any row may show: an access hook, a co-runner or a
+#: defense never makes the fast engine leave its batch.
+BATCH_EXITS = {"tlb_fill", "pebs", "timer", "until"}
 
 
 @pytest.mark.parametrize("row", sorted(ENGINE_ROWS))
@@ -557,9 +587,11 @@ def test_engine_rows_equivalent(row):
     assert_equivalent(outcomes)
     for reason in ROW_PATHS.get(row, ()):
         assert fallbacks[reason] > 0, (reason, fallbacks)
+    assert set(+fallbacks) <= BATCH_EXITS, fallbacks
     state = outcomes[0][1]
+    if options.get("record"):
+        assert len(state["retires"]) > 0
     if row in INLINE_ROWS:
-        assert fallbacks["hook"] == 0, fallbacks
         assert state["mix"][0] > 0  # injected_ops
     if row in AUX_SAMPLE_ROWS:
         assert state["aux_samples"][0] > 0
@@ -574,14 +606,14 @@ def test_engine_rows_equivalent(row):
 def test_fallback_telemetry():
     """``fast_fallbacks`` says why the fast engine left its batches: an
     idle CLFLUSH-free run never falls back on its op kind, and with
-    co-runners attached no op is hook-stepped (they are injected inline)."""
+    co-runners attached it leaves its batches only for a first touch of a
+    page or a timer (the co-runners are injected inline)."""
     machine = small_machine()
     attack = ClflushFreeAttack(buffer_bytes=16 * MB)
     attack.prepare(machine)
     result = machine.run_fast(itertools.islice(attack.ops(), 5_000))
     assert result.ops_executed == 5_000
     assert machine.fast_fallbacks["op_kind"] == 0
-    assert machine.fast_fallbacks["hook"] == 0
 
     machine = small_machine()
     mix = BackgroundMix()
@@ -590,5 +622,5 @@ def test_fallback_telemetry():
     attack.prepare(machine)
     result = machine.run_fast(itertools.islice(attack.ops(), 3_000))
     assert result.ops_executed == 3_000
-    assert machine.fast_fallbacks["hook"] == 0
+    assert set(machine.fast_fallbacks) <= {"tlb_fill", "timer"}
     assert mix.injected_ops > 0

@@ -161,11 +161,18 @@ def test_overhead_accounting(machine):
 
 
 def test_access_hooks(machine):
+    """A hook is told the clock after each retiring load or store: a
+    PAIR_LOAD's two retires repeat one time, other ops retire nothing, and
+    a removed hook hears nothing more."""
     base = mapped(machine)
     seen = []
-    hook = lambda record, t: seen.append((record.level, t))  # noqa: E731
+    hook = seen.append
     machine.add_access_hook(hook)
     machine.execute(load(base))
+    after_load = machine.cycles
+    machine.execute(compute(10))
+    machine.execute(pair_load(base, base + 64))
+    after_pair = machine.cycles
     machine.remove_access_hook(hook)
     machine.execute(load(base))
-    assert len(seen) == 1
+    assert seen == [after_load, after_pair, after_pair]

@@ -299,14 +299,6 @@ def test_clflush_banned_machine():
         machine.memory.clflush(base, 100)
 
 
-def test_listener_sees_accesses(machine):
-    seen = []
-    machine.memory.add_listener(seen.append)
-    base = machine.memory.vm.mmap(8192)
-    machine.memory.access(base, 0, is_store=True)
-    assert len(seen) == 1 and seen[0].is_store
-
-
 def test_word_io_via_virtual_addresses(machine):
     base = machine.memory.vm.mmap(8192)
     machine.memory.write_word(base + 8, 42)

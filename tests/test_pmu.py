@@ -1,4 +1,4 @@
-"""PMU tests: counters, overflow interrupts, PEBS sampling."""
+"""PMU tests: counters, PEBS sampling."""
 
 from __future__ import annotations
 
@@ -21,49 +21,14 @@ def access(level="DRAM", latency=150, is_store=False, vaddr=0x1000) -> MemoryAcc
 
 def test_counter_increments_and_reads():
     counter = Counter(Event.LONGEST_LAT_CACHE_MISS)
-    counter.increment(0)
-    counter.increment(0, amount=4)
+    counter.increment()
+    counter.increment(4)
     assert counter.read() == 5
-
-
-def test_counter_overflow_fires_callback():
-    counter = Counter(Event.LONGEST_LAT_CACHE_MISS)
-    fired = []
-    counter.program_overflow(3, fired.append)
-    for i in range(3):
-        counter.increment(i)
-    assert len(fired) == 1
-    assert fired[0].count_at_overflow == 3
-    assert fired[0].time_cycles == 2
-
-
-def test_counter_overflow_rearms():
-    counter = Counter(Event.LONGEST_LAT_CACHE_MISS)
-    fired = []
-    counter.program_overflow(2, fired.append)
-    for i in range(6):
-        counter.increment(i)
-    assert len(fired) == 3
-
-
-def test_counter_clear_overflow():
-    counter = Counter(Event.LONGEST_LAT_CACHE_MISS)
-    fired = []
-    counter.program_overflow(1, fired.append)
-    counter.clear_overflow()
-    counter.increment(0)
-    assert fired == []
-
-
-def test_counter_invalid_period():
-    counter = Counter(Event.LONGEST_LAT_CACHE_MISS)
-    with pytest.raises(PmuError):
-        counter.program_overflow(0, lambda _: None)
 
 
 def test_counter_reset():
     counter = Counter(Event.LONGEST_LAT_CACHE_MISS)
-    counter.increment(0, amount=7)
+    counter.increment(7)
     counter.reset()
     assert counter.read() == 0
 
